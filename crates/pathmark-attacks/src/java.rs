@@ -173,6 +173,16 @@ pub fn copy_blocks(program: &mut Program, count: usize, seed: u64) -> usize {
         let func_idx = rng.index(program.functions.len());
         let func = &mut program.functions[func_idx];
         let cfg = Cfg::build(func);
+        // The pcs some branch jumps to, in one pass over the code rather
+        // than one per block.
+        let mut targeted = vec![false; func.code.len()];
+        for insn in &func.code {
+            for target in insn.targets() {
+                if let Some(flag) = targeted.get_mut(target) {
+                    *flag = true;
+                }
+            }
+        }
         // Candidate: a block that is a branch target and ends in a
         // terminator (so the copy needs no fall-through repair).
         let candidates: Vec<usize> = (0..cfg.len())
@@ -180,10 +190,7 @@ pub fn copy_blocks(program: &mut Program, count: usize, seed: u64) -> usize {
                 let block = &cfg.blocks[b];
                 block.start > 0
                     && func.code[block.end - 1].is_terminator()
-                    && func
-                        .code
-                        .iter()
-                        .any(|i| i.targets().contains(&block.start))
+                    && targeted[block.start]
             })
             .collect();
         if candidates.is_empty() {

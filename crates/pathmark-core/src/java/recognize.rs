@@ -30,7 +30,7 @@ use stackvm::Program;
 use stackvm::interp::Vm;
 use stackvm::ExecTier;
 
-use super::session::DecodeCache;
+use super::session::DecodeEntry;
 use super::{trace_program_tiered, JavaConfig, Recognizer};
 use crate::bitstring::{BitString, PackedTraceSink};
 use crate::key::WatermarkKey;
@@ -420,7 +420,9 @@ impl Recognizer {
     /// session memoizes it (see `SessionCrypto::decode_cache`): a warm
     /// session recognizing many copies of one host program pays XTEA
     /// once per distinct value per *key*, not per copy — the host's own
-    /// loop windows repeat across fingerprinted copies.
+    /// loop windows repeat across fingerprinted copies. The memo is kept
+    /// sorted by value like the rows, so the lookups are one merge over
+    /// it, and the misses merge in after decryption.
     ///
     /// Telemetry: one [`Stage::ScanDecrypt`] span (the scan's
     /// decryption half, identical on both scan modes),
@@ -455,31 +457,31 @@ impl Recognizer {
             let mut lane_values = [0u64; BATCH_LANES];
             let mut lane_mults = [0u64; BATCH_LANES];
             let mut lanes = 0usize;
+            // The misses' decodes, ascending like the rows they came
+            // from, for the memo to merge in once the scan is done.
+            let mut fresh: Vec<DecodeEntry> = Vec::new();
             let flush = |values: &[u64],
                              mults: &[u64],
-                             cache: &mut DecodeCache,
+                             fresh: &mut Vec<DecodeEntry>,
                              counts: &mut HashMap<Statement, u64>,
-                             decrypted: &mut u64,
-                             evicted: &mut u64| {
+                             decrypted: &mut u64| {
                 let mut blocks = [0u64; BATCH_LANES];
                 blocks[..values.len()].copy_from_slice(values);
                 cipher.decrypt_batch(&mut blocks[..values.len()]);
                 *decrypted += values.len() as u64;
                 for (lane, &value) in values.iter().enumerate() {
                     let decoded = enumeration.decode(blocks[lane]).ok();
-                    // Below its residency ceiling the memo table is
-                    // exact; at the ceiling a newcomer evicts a
-                    // resident entry and memory stays bounded.
-                    if cache.insert(value, decoded) {
-                        *evicted += 1;
-                    }
+                    fresh.push((value, decoded));
                     if let Some(statement) = decoded {
                         *counts.entry(statement).or_insert(0) += mults[lane];
                     }
                 }
             };
+            // Rows ascend by value, as the memo does: one cursor walks
+            // it once for the whole table.
+            let mut cursor = 0usize;
             for (value, multiplicity, _first_offset) in survivors.iter() {
-                if let Some(decoded) = cache.get(value) {
+                if let Some(decoded) = cache.get(&mut cursor, value) {
                     hits += 1;
                     if let Some(statement) = decoded {
                         *counts.entry(statement).or_insert(0) += multiplicity;
@@ -494,10 +496,9 @@ impl Recognizer {
                     flush(
                         &lane_values,
                         &lane_mults,
-                        &mut cache,
+                        &mut fresh,
                         &mut counts,
                         &mut decrypted,
-                        &mut evicted,
                     );
                     lanes = 0;
                 }
@@ -506,12 +507,14 @@ impl Recognizer {
                 flush(
                     &lane_values[..lanes],
                     &lane_mults[..lanes],
-                    &mut cache,
+                    &mut fresh,
                     &mut counts,
                     &mut decrypted,
-                    &mut evicted,
                 );
             }
+            // Below its cap the memo is exact; at the cap it drops
+            // decodes and memory stays bounded.
+            evicted = cache.admit(fresh);
             counts
         });
         self.telemetry.count(Counter::WindowsDecrypted, decrypted);
@@ -1042,6 +1045,79 @@ mod tests {
         capped.candidates_from_survivors(&tail).unwrap();
         let after = sink.counter(Counter::WindowsDecrypted);
         assert!(after - before <= 8);
+    }
+
+    #[test]
+    fn decode_memo_agrees_across_caps_on_random_scan_sequences() {
+        use std::collections::BTreeSet;
+
+        let config = JavaConfig::for_watermark_bits(64).with_pieces(12);
+        let mut rng = Prng::from_seed(0xDEC0DE);
+        for round in 0..4 {
+            let cap = 8 + rng.index(120);
+            // `usize::MAX` also checks that nothing is sized from the cap.
+            let sessions = [cap, usize::MAX, 0].map(|cap| {
+                let session = Recognizer::builder(key(), config.clone())
+                    .decode_cache_cap(cap)
+                    .build()
+                    .unwrap();
+                (session, cap)
+            });
+            // Scans draw their rows from one pool, so they overlap.
+            let pool: Vec<u64> = (0..400).map(|_| rng.next_u64()).collect();
+            // Every window value decoded so far, ascending.
+            let mut seen: BTreeSet<u64> = BTreeSet::new();
+            let mut previous = Survivors::new();
+            for scan in 0..12 {
+                let rescan = scan > 0 && rng.chance(0.3);
+                let table = if rescan {
+                    previous.clone()
+                } else {
+                    Survivors::from_entries(
+                        (0..rng.index(200))
+                            .map(|i| (pool[rng.index(pool.len())], 1 + rng.range(4), i as u64))
+                            .collect(),
+                    )
+                };
+                let rows = table.len() as u64;
+
+                let mut multisets = Vec::new();
+                for (session, cap) in &sessions {
+                    let before = session.decode_cache_stats();
+                    multisets.push(session.candidates_from_survivors(&table).unwrap());
+                    let after = session.decode_cache_stats();
+                    let hits = after.hits - before.hits;
+                    let misses = after.misses - before.misses;
+                    let at = format!("round {round}, scan {scan}, cap {cap}");
+                    assert_eq!(hits + misses, rows, "{at}: one lookup per row");
+                    assert!(after.entries <= *cap as u64, "{at}: bounded by the cap");
+                    // The memo holds the `cap` smallest values decoded so
+                    // far, so exactly the rows among them hit.
+                    let resident: BTreeSet<u64> = seen.iter().take(*cap).copied().collect();
+                    let expected = table.values().iter().filter(|v| resident.contains(v));
+                    assert_eq!(hits, expected.count() as u64, "{at}: the smallest values stay");
+                    if *cap == 0 {
+                        assert_eq!((after.entries, after.evictions), (0, 0), "{at}: no memo");
+                        continue;
+                    }
+                    assert_eq!(
+                        after.entries + after.evictions,
+                        after.misses,
+                        "{at}: every decode is kept or counted as dropped"
+                    );
+                    if rescan && before.evictions == 0 {
+                        assert_eq!(misses, 0, "{at}: an exact re-scan below the cap");
+                    }
+                }
+                assert_eq!(multisets[0], multisets[1], "round {round}, scan {scan}");
+                assert_eq!(multisets[0], multisets[2], "round {round}, scan {scan}");
+                seen.extend(table.values());
+                if seen.len() > cap {
+                    assert!(sessions[0].0.decode_cache_stats().evictions > 0);
+                }
+                previous = table;
+            }
+        }
     }
 
     #[test]

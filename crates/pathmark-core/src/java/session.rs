@@ -61,171 +61,121 @@ use crate::key::WatermarkKey;
 use crate::scan::ScanMode;
 use crate::{ConfigError, WatermarkError};
 
-/// Default ceiling on memoized window decodes. The backing table is a
-/// fixed-size linear-probe array clamped at [`MAX_DECODE_CACHE_SLOTS`]
-/// slots (~2.6 MB) and kept at most half full, so the effective
-/// residency under the default cap is 2^15 entries — several times a
-/// corpus copy's distinct-window count. Below that ceiling the table
-/// is exact (a warm session re-scanning a copy it has seen decrypts
-/// nothing); at the ceiling, admitting a new value evicts a resident
-/// entry (counted as
-/// [`pathmark_telemetry::Counter::DecodeCacheEvict`]). Recognition
-/// stays correct either way — the cache only trades XTEA calls for
-/// memory. Long-lived daemons tune the cap per session via the
-/// builders' `decode_cache_cap`.
-pub const DEFAULT_DECODE_CACHE_CAP: usize = 1 << 20;
+/// Default ceiling on memoized window decodes: 2^15 entries (~1.3 MB
+/// at 40 B each), several times a corpus copy's distinct-window count.
+/// Below the ceiling the memo is exact (a warm session re-scanning a
+/// copy it has seen decrypts nothing); past it, decodes are dropped
+/// (counted as [`pathmark_telemetry::Counter::DecodeCacheEvict`]; see
+/// [`DecodeCache`] for which). Recognition stays correct either way —
+/// the memo only trades XTEA calls for memory. Long-lived daemons tune
+/// the cap per session via the builders' `decode_cache_cap`.
+pub const DEFAULT_DECODE_CACHE_CAP: usize = 1 << 15;
 
-/// Hard ceiling on decode-cache *slots* regardless of the entry cap:
-/// 2^16 slots x 40 B = ~2.6 MB per session, enough that a corpus worth
-/// of distinct windows (~5k per copy) stays well under half load,
-/// while a probe still lands in the outer cache levels instead of main
-/// memory. Raising the cap past this bound admits no more entries.
-pub(crate) const MAX_DECODE_CACHE_SLOTS: usize = 1 << 16;
+/// One memoized window decode: the window value and what it decrypts
+/// and decodes to (`None` = known garbage).
+pub(crate) type DecodeEntry = (u64, Option<Statement>);
 
-/// Window-decode memo table: open addressing with linear probing over
-/// a fixed power-of-two slot array. A lookup multiplies the window by
-/// a Fibonacci constant to pick a natural slot and walks forward to
-/// the first key match (hit) or empty slot (miss); because residency
-/// is capped at half the slots, chains stay short and a probe is
-/// effectively one predictable memory access — the general-purpose
-/// hash map this replaces spent more per lookup on its dependent
-/// control-word-then-bucket chain than the XTEA batch it was saving.
+/// Window-decode memo: [`DecodeEntry`]s sorted by window, sized to what
+/// the session has decoded. Nothing is allocated until the first
+/// decode, so embed sessions (which never decode) pay nothing for it.
+/// Survivor tables ascend by value too, so a scan's lookups are one
+/// merge over the memo ([`DecodeCache::get`] with a shared cursor) and
+/// its misses, equally ascending, merge in after decryption
+/// ([`DecodeCache::admit`]).
 ///
-/// Below the entry ceiling the table is an exact map (warm re-scans
-/// hit every resident window); at the ceiling a newcomer is admitted
-/// by overwriting an occupied slot, which keeps every probe chain
-/// walkable, or — when its natural slot is free — by vacating the
-/// nearest resident slot, which can orphan a chain tail. An orphaned
-/// entry simply reads as a miss later and is re-decrypted: the only
-/// invariant a memo needs is "correct value or miss", so eviction is
-/// free to be sloppy about reachability.
-/// One decode-cache slot: vacant, or a memoized window with what it
-/// decodes to (`None` = known garbage).
-type DecodeSlot = Option<(u64, Option<Statement>)>;
-
+/// Past the cap the memo keeps the `cap` smallest window values it has
+/// decoded and drops the rest. Surviving window values are close to
+/// uniform, so that is an unbiased sample of the working set, and a
+/// fixed one: a warm session re-scanning more distinct windows than its
+/// cap hits the same entries on every scan instead of evicting them in
+/// turn.
 #[derive(Debug)]
 pub(crate) struct DecodeCache {
-    /// `None` = vacant; `Some((window, decoded))` memoizes one window.
-    slots: Box<[DecodeSlot]>,
-    /// Occupied-slot count (the `entries` statistic).
-    occupied: usize,
-    /// The entry ceiling the table was sized for (the builder's
-    /// `decode_cache_cap`, before clamping). Read by the unit tests
-    /// that check cap inheritance across `with_key`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Strictly ascending by window.
+    entries: Vec<DecodeEntry>,
+    /// The entry ceiling (the builder's `decode_cache_cap`); zero
+    /// disables memoization.
     cap: usize,
 }
 
 impl DecodeCache {
-    /// A table of the largest power-of-two slot count that respects
-    /// both the entry ceiling and the [`MAX_DECODE_CACHE_SLOTS`]
-    /// clamp (never fewer than 8 slots, so the probe loops always have
-    /// vacancies to terminate on). A zero cap produces an empty table:
-    /// every lookup misses and every insert is a no-op, i.e.
-    /// memoization is disabled.
+    /// An empty memo bounded at `cap` entries. Allocates nothing.
     pub(crate) fn with_cap(cap: usize) -> Self {
-        let slots = if cap == 0 {
-            0
-        } else {
-            let want = cap.clamp(8, MAX_DECODE_CACHE_SLOTS);
-            if want.is_power_of_two() {
-                want
-            } else {
-                want.next_power_of_two() >> 1
-            }
-        };
         DecodeCache {
-            slots: vec![None; slots].into_boxed_slice(),
-            occupied: 0,
+            entries: Vec::new(),
             cap,
         }
     }
 
     /// Entries currently resident.
     pub(crate) fn len(&self) -> usize {
-        self.occupied
+        self.entries.len()
     }
 
-    /// The ceiling this table was sized for.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The entry ceiling.
+    #[cfg(test)]
     pub(crate) fn cap(&self) -> usize {
         self.cap
     }
 
-    /// Residency ceiling: the configured cap, and never more than half
-    /// the slots — the half-load bound is what keeps probe chains
-    /// short and the probe loops terminating.
-    #[inline]
-    fn threshold(&self) -> usize {
-        self.cap.min(self.slots.len() / 2)
-    }
-
-    /// The natural slot `value` maps to. Fibonacci multiply, then the
-    /// top 16 product bits masked down — valid for any table at or
-    /// under the [`MAX_DECODE_CACHE_SLOTS`] clamp.
-    #[inline]
-    fn natural_slot(&self, value: u64) -> usize {
-        (value.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize & (self.slots.len() - 1)
+    /// Entries the memo has room for without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// The memoized decode of `value`, if resident: `Some(None)` means
     /// "known garbage", `None` means "not cached, decrypt it".
+    ///
+    /// `cursor` is where the previous lookup stopped: start it at 0 and
+    /// look up ascending values, and the lookups walk the memo once.
     #[inline]
-    pub(crate) fn get(&self, value: u64) -> Option<Option<Statement>> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.natural_slot(value);
-        loop {
-            match self.slots[i] {
-                None => return None,
-                Some((resident, decoded)) if resident == value => return Some(decoded),
-                Some(_) => i = (i + 1) & mask,
-            }
+    pub(crate) fn get(&self, cursor: &mut usize, value: u64) -> Option<Option<Statement>> {
+        let rest = &self.entries[*cursor..];
+        *cursor += rest
+            .iter()
+            .take_while(|&&(window, _)| window < value)
+            .count();
+        match self.entries.get(*cursor) {
+            Some(&(window, decoded)) if window == value => Some(decoded),
+            _ => None,
         }
     }
 
-    /// Memoizes `value -> decoded`, returning `true` if a resident
-    /// entry was evicted to make room.
-    pub(crate) fn insert(&mut self, value: u64, decoded: Option<Statement>) -> bool {
-        if self.slots.is_empty() {
-            return false;
+    /// Merges one scan's misses into the memo. `fresh` holds the decodes
+    /// of windows [`DecodeCache::get`] did not find, ascending. Returns
+    /// how many decodes the cap dropped, resident or fresh.
+    pub(crate) fn admit(&mut self, mut fresh: Vec<DecodeEntry>) -> u64 {
+        if self.cap == 0 || fresh.is_empty() {
+            return 0;
         }
-        let mask = self.slots.len() - 1;
-        let natural = self.natural_slot(value);
-        let mut i = natural;
-        let free = loop {
-            match self.slots[i] {
-                None => break i,
-                Some((resident, _)) if resident == value => {
-                    self.slots[i] = Some((value, decoded));
-                    return false;
-                }
-                Some(_) => i = (i + 1) & mask,
-            }
-        };
-        if self.occupied < self.threshold() {
-            self.slots[free] = Some((value, decoded));
-            self.occupied += 1;
-            return false;
-        }
-        // At the ceiling: admit by eviction (the newcomer just
-        // occurred, so it is the likelier one to recur). Overwriting
-        // the occupied natural slot keeps chains walkable; when the
-        // natural slot is free, vacate the nearest resident instead —
-        // any chain tail that orphans just reads as a miss later.
-        if self.slots[natural].is_some() {
-            self.slots[natural] = Some((value, decoded));
+        let total = self.entries.len() + fresh.len();
+        // Only the `cap` smallest windows stay, so no fresh entry past
+        // the first `cap` can.
+        fresh.truncate(self.cap);
+        if self.entries.is_empty() {
+            self.entries = fresh;
         } else {
-            let mut j = (natural + 1) & mask;
-            while self.slots[j].is_none() {
-                j = (j + 1) & mask;
+            // Merge from the back, into the room `fresh` takes up at the
+            // end: every write lands at or past the resident it moves.
+            let mut resident = self.entries.len();
+            self.entries.reserve_exact(fresh.len());
+            self.entries.extend_from_slice(&fresh);
+            let mut pending = fresh.len();
+            while pending > 0 {
+                let slot = resident + pending - 1;
+                if resident > 0 && self.entries[resident - 1].0 > fresh[pending - 1].0 {
+                    self.entries[slot] = self.entries[resident - 1];
+                    resident -= 1;
+                } else {
+                    self.entries[slot] = fresh[pending - 1];
+                    pending -= 1;
+                }
             }
-            self.slots[j] = None;
-            self.slots[natural] = Some((value, decoded));
         }
-        true
+        self.entries.truncate(self.cap);
+        self.entries.shrink_to_fit();
+        (total - self.entries.len()) as u64
     }
 }
 
@@ -264,7 +214,7 @@ pub(crate) struct SessionCrypto {
     pub(crate) cache_hits: AtomicU64,
     /// Lifetime decode-cache misses (each one paid a cipher call).
     pub(crate) cache_misses: AtomicU64,
-    /// Lifetime decode-cache evictions under the cap.
+    /// Lifetime decodes dropped at the cap.
     pub(crate) cache_evictions: AtomicU64,
 }
 
@@ -277,7 +227,8 @@ pub struct DecodeCacheStats {
     pub hits: u64,
     /// Lookups that missed and decrypted.
     pub misses: u64,
-    /// Entries evicted to stay under the cap.
+    /// Decodes dropped to stay within the cap: resident entries
+    /// displaced, or new ones not kept.
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
@@ -513,11 +464,9 @@ macro_rules! session_impl {
             }
 
             /// Overrides the decode-cache ceiling (default
-            /// [`DEFAULT_DECODE_CACHE_CAP`] entries; the direct-mapped
-            /// table behind it clamps at ~2.5 MB). A resident daemon
+            /// [`DEFAULT_DECODE_CACHE_CAP`] entries). A resident daemon
             /// holding many warm sessions tunes this down to bound
-            /// memory; admissions that collide with a resident entry
-            /// evict it and bump
+            /// memory; decodes dropped at the ceiling bump
             /// [`pathmark_telemetry::Counter::DecodeCacheEvict`]. Zero
             /// disables decode memoization entirely.
             pub fn decode_cache_cap(mut self, cap: usize) -> $builder {
@@ -682,6 +631,26 @@ mod tests {
         // The default is the documented constant.
         let default = Embedder::builder(key(), config).build().unwrap();
         assert_eq!(default.decode_cache_cap(), DEFAULT_DECODE_CACHE_CAP);
+    }
+
+    #[test]
+    fn sessions_allocate_no_memo_before_they_decode() {
+        let config = JavaConfig::for_watermark_bits(64);
+        let memo = |crypto: Arc<SessionCrypto>| {
+            let cache = crypto.decode_cache.lock().unwrap();
+            (cache.len(), cache.capacity())
+        };
+        let copy_key = WatermarkKey::new(99, vec![1, 2]);
+        let embedder = Embedder::builder(key(), config.clone()).build().unwrap();
+        let per_copy = embedder.with_key(copy_key.clone());
+        assert_eq!(
+            memo(per_copy.crypto().unwrap()),
+            (0, 0),
+            "per-copy embedder"
+        );
+        let recognizer = Recognizer::builder(key(), config).build().unwrap();
+        let fresh = recognizer.with_key(copy_key);
+        assert_eq!(memo(fresh.crypto().unwrap()), (0, 0), "fresh recognizer");
     }
 
     #[test]

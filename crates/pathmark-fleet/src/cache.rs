@@ -16,6 +16,12 @@
 //! under FNV-1a would silently share one trace — and the second program
 //! would be watermarked against the first one's execution. The digest
 //! is kept only to make hashing cheap; equality always compares bytes.
+//!
+//! Each entry also keeps the decoded program. A resident daemon reads
+//! its host files as bytes and looks them up by those bytes
+//! ([`TraceCache::get_or_load`]), so a host it has seen is neither
+//! decoded, verified nor re-encoded again, and a rewritten file is a
+//! new entry.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -63,6 +69,26 @@ impl Hash for CacheKey {
     }
 }
 
+impl CacheKey {
+    fn new(
+        program_bytes: Vec<u8>,
+        key: &WatermarkKey,
+        config: &JavaConfig,
+        what: TraceConfig,
+    ) -> CacheKey {
+        CacheKey {
+            program_fnv: fnv1a(&program_bytes),
+            program_bytes: Arc::new(program_bytes),
+            input: key.input.clone(),
+            budget: config.trace_budget,
+            blocks: what.blocks,
+            branches: what.branches,
+            snapshots: what.snapshots,
+            snapshot_limit: what.snapshot_limit,
+        }
+    }
+}
+
 /// Hit/miss counters of a [`TraceCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -72,10 +98,14 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A concurrent map from (program, input, config) to a shared trace.
+/// A cached host: the program and its trace.
+type Host = (Arc<Program>, Arc<Trace>);
+
+/// A concurrent map from (program, input, config) to a shared program
+/// and trace.
 #[derive(Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<CacheKey, Arc<Trace>>>,
+    entries: Mutex<HashMap<CacheKey, Host>>,
     hits: AtomicU64,
     misses: AtomicU64,
     telemetry: Telemetry,
@@ -113,37 +143,79 @@ impl TraceCache {
         config: &JavaConfig,
         what: TraceConfig,
     ) -> Result<Arc<Trace>, WatermarkError> {
-        let program_bytes = stackvm::codec::encode_program(program);
-        let cache_key = CacheKey {
-            program_fnv: fnv1a(&program_bytes),
-            program_bytes: Arc::new(program_bytes),
-            input: key.input.clone(),
-            budget: config.trace_budget,
-            blocks: what.blocks,
-            branches: what.branches,
-            snapshots: what.snapshots,
-            snapshot_limit: what.snapshot_limit,
+        let cache_key = CacheKey::new(stackvm::codec::encode_program(program), key, config, what);
+        let (_, trace) = match self.lookup(&cache_key) {
+            Some(host) => host,
+            None => {
+                self.trace_and_insert(cache_key, Arc::new(program.clone()), key, config, what)?
+            }
         };
-        if let Some(trace) = self
+        Ok(trace)
+    }
+
+    /// Returns the program encoded by `bytes` and its trace on `key`'s
+    /// secret input, keyed by the bytes as given: `load` turns them
+    /// into a program (decoding and checking it) only on a miss, so a
+    /// resident caller handed the same host file again skips both. A
+    /// host that fails to load or trace is not cached, and fails again
+    /// on the next call. Concurrent callers racing on a cold entry may
+    /// load and trace redundantly, as in [`TraceCache::get_or_trace`].
+    ///
+    /// # Errors
+    ///
+    /// `load`'s error, or the trace failure rendered as a string.
+    pub fn get_or_load(
+        &self,
+        bytes: Vec<u8>,
+        key: &WatermarkKey,
+        config: &JavaConfig,
+        what: TraceConfig,
+        load: impl FnOnce(&[u8]) -> Result<Program, String>,
+    ) -> Result<(Arc<Program>, Arc<Trace>), String> {
+        let cache_key = CacheKey::new(bytes, key, config, what);
+        if let Some(host) = self.lookup(&cache_key) {
+            return Ok(host);
+        }
+        let program = Arc::new(load(&cache_key.program_bytes)?);
+        self.trace_and_insert(cache_key, program, key, config, what)
+            .map_err(|e| e.to_string())
+    }
+
+    /// The host cached under `cache_key`, counting the lookup as a hit
+    /// or a miss.
+    fn lookup(&self, cache_key: &CacheKey) -> Option<Host> {
+        let host = self
             .entries
             .lock()
             .expect("cache lock")
-            .get(&cache_key)
-            .cloned()
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.count(Counter::CacheHit, 1);
-            return Ok(trace);
-        }
+            .get(cache_key)
+            .cloned();
+        let (count, counter) = match host {
+            Some(_) => (&self.hits, Counter::CacheHit),
+            None => (&self.misses, Counter::CacheMiss),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.count(counter, 1);
+        host
+    }
+
+    /// Traces `program` and caches it under `cache_key`, returning the
+    /// entry that won a race for the key.
+    fn trace_and_insert(
+        &self,
+        cache_key: CacheKey,
+        program: Arc<Program>,
+        key: &WatermarkKey,
+        config: &JavaConfig,
+        what: TraceConfig,
+    ) -> Result<Host, WatermarkError> {
         // Trace outside the lock so a long run does not stall the pool.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.count(Counter::CacheMiss, 1);
         let trace = Arc::new(
             self.telemetry
-                .time(Stage::Trace, || trace_program(program, key, config, what))?,
+                .time(Stage::Trace, || trace_program(&program, key, config, what))?,
         );
         let mut entries = self.entries.lock().expect("cache lock");
-        Ok(Arc::clone(entries.entry(cache_key).or_insert(trace)))
+        Ok(entries.entry(cache_key).or_insert((program, trace)).clone())
     }
 
     /// Current hit/miss counters.
@@ -224,6 +296,43 @@ mod tests {
         assert_eq!(sink.counter(Counter::CacheMiss), 1);
         assert_eq!(sink.counter(Counter::CacheHit), 2);
         assert_eq!(sink.stage(Stage::Trace).count, 1, "one cold trace span");
+    }
+
+    #[test]
+    fn get_or_load_loads_once_and_caches_no_failure() {
+        let cache = TraceCache::new();
+        let key = WatermarkKey::new(7, vec![]);
+        let config = JavaConfig::for_watermark_bits(64);
+        let bytes = stackvm::codec::encode_program(&tiny_program(4));
+        let loads = std::cell::Cell::new(0);
+        let load = |bytes: &[u8]| {
+            loads.set(loads.get() + 1);
+            stackvm::codec::decode_program(bytes).map_err(|e| e.to_string())
+        };
+        let first = cache
+            .get_or_load(bytes.clone(), &key, &config, TraceConfig::full(), load)
+            .unwrap();
+        let again = cache
+            .get_or_load(bytes.clone(), &key, &config, TraceConfig::full(), load)
+            .unwrap();
+        assert_eq!(loads.get(), 1, "decoded on the miss only");
+        assert!(Arc::ptr_eq(&first.0, &again.0) && Arc::ptr_eq(&first.1, &again.1));
+        assert_eq!(*first.0, tiny_program(4));
+        // The same bytes through `get_or_trace` share the entry.
+        let trace = cache
+            .get_or_trace(&tiny_program(4), &key, &config, TraceConfig::full())
+            .unwrap();
+        assert!(Arc::ptr_eq(&trace, &first.1));
+
+        let failing = |_: &[u8]| -> Result<Program, String> { Err("no".into()) };
+        for _ in 0..2 {
+            let err = cache
+                .get_or_load(vec![1, 2, 3], &key, &config, TraceConfig::full(), failing)
+                .unwrap_err();
+            assert_eq!(err, "no");
+        }
+        assert_eq!(cache.len(), 1, "a failed load is not cached");
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
     }
 
     #[test]

@@ -883,9 +883,13 @@ enum JobInput {
     Recognize { program: String },
 }
 
-fn load_program(path: &str) -> Result<Program, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = stackvm::codec::decode_program(&bytes).map_err(|e| format!("{path}: {e}"))?;
+fn read_file(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Decodes and verifies the bytes of the program file at `path`.
+fn decode_verified(path: &str, bytes: &[u8]) -> Result<Program, String> {
+    let program = stackvm::codec::decode_program(bytes).map_err(|e| format!("{path}: {e}"))?;
     stackvm::verify::verify(&program).map_err(|e| format!("{path}: {e}"))?;
     Ok(program)
 }
@@ -907,9 +911,11 @@ fn failed_report(spec: &EmbedJobSpec, seed: u64, why: String) -> JobReport {
     }
 }
 
-/// One embed job end to end: load the host, share its trace through the
-/// cache, run the batch engine's single-job kernel, persist the marked
-/// copy *before* the report line (the order `--resume` relies on).
+/// One embed job end to end: read the host file, resolve its program
+/// and trace through the cache by those bytes (decoding and verifying
+/// only a host the cache has not seen), run the batch engine's
+/// single-job kernel, persist the marked copy *before* the report line
+/// (the order `--resume` relies on).
 fn run_embed_job(
     tenant: &Tenant,
     cache: &TraceCache,
@@ -921,16 +927,19 @@ fn run_embed_job(
 ) -> JobReport {
     let base = &tenant.embedder;
     let seed = spec.effective_seed(base.key().seed);
-    let program = match load_program(host_path) {
-        Ok(program) => program,
+    let resolved = read_file(host_path).and_then(|bytes| {
+        cache.get_or_load(
+            bytes,
+            base.key(),
+            base.config(),
+            TraceConfig::full(),
+            |bytes| decode_verified(host_path, bytes),
+        )
+    });
+    let (host, trace) = match resolved {
+        Ok(resolved) => resolved,
         Err(why) => return failed_report(spec, seed, why),
     };
-    let trace = match cache.get_or_trace(&program, base.key(), base.config(), TraceConfig::full())
-    {
-        Ok(trace) => trace,
-        Err(e) => return failed_report(spec, seed, e.to_string()),
-    };
-    let host = Arc::new(program);
     let outcome = embed_one(base, &host, &trace, spec, retry, telemetry);
     if let Some(marked) = &outcome.marked {
         let result = std::fs::create_dir_all(out_dir)
@@ -965,7 +974,8 @@ fn run_recognize_job(
             Err(why) => return failed_report(spec, seed, why),
         },
     };
-    let program = match load_program(program_path) {
+    let loaded = read_file(program_path).and_then(|bytes| decode_verified(program_path, &bytes));
+    let program = match loaded {
         Ok(program) => program,
         Err(why) => return failed_report(spec, seed, why),
     };

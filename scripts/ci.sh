@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: the tier-1 build/test pass plus a fleet smoke run through the
+# CI gate: the tier-1 build/test pass, the benchmark package's own tests
+# (perfbench/ calls the public API), plus a fleet smoke run through the
 # CLI (16 copies embedded and recognized end to end, with stage-level
 # metrics captured), a quick fleet bench emitting BENCH_fleet.json, the
 # trace/scan equivalence gate, and a quick recognition bench emitting
@@ -19,6 +20,9 @@ cargo clippy --all-targets -- -D warnings
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> benchmark package: its own tests, against the current public API"
+CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-injection gate: deterministic fault/retry/resume tests"
 cargo test -q --test fleet_pipeline fault_

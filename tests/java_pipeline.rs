@@ -252,3 +252,75 @@ fn double_java_watermarking_keeps_the_first_mark_readable() {
     assert_eq!(rec1.watermark.as_ref(), Some(w1.value()));
     assert_eq!(rec2.watermark.as_ref(), Some(w2.value()));
 }
+
+/// `copy_blocks` with its former candidate scan, which walks the whole
+/// function once per block looking for a branch to it. The reference the
+/// one-pass scan must reproduce draw for draw.
+fn copy_blocks_per_block_scan(program: &mut Program, count: usize, seed: u64) -> usize {
+    use pathmark::crypto::Prng;
+    use pathmark::vm::cfg::Cfg;
+    use pathmark::vm::insn::Insn;
+
+    let mut rng = Prng::from_seed(seed ^ 0x00C0_B1E5);
+    let mut made = 0;
+    for _ in 0..count {
+        let func_idx = rng.index(program.functions.len());
+        let func = &mut program.functions[func_idx];
+        let cfg = Cfg::build(func);
+        let candidates: Vec<usize> = (0..cfg.len())
+            .filter(|&b| {
+                let block = &cfg.blocks[b];
+                block.start > 0
+                    && func.code[block.end - 1].is_terminator()
+                    && func
+                        .code
+                        .iter()
+                        .any(|i| i.targets().contains(&block.start))
+            })
+            .collect();
+        if candidates.is_empty() {
+            continue;
+        }
+        let b = candidates[rng.index(candidates.len())];
+        let block = cfg.blocks[b].clone();
+        let copy_start = func.code.len();
+        let copied: Vec<Insn> = func.code[block.start..block.end].to_vec();
+        func.code.extend(copied);
+        let refs: Vec<usize> = (0..copy_start)
+            .filter(|&pc| func.code[pc].targets().contains(&block.start))
+            .collect();
+        let chosen = refs[rng.index(refs.len())];
+        func.code[chosen].map_targets(|t| if t == block.start { copy_start } else { t });
+        made += 1;
+    }
+    made
+}
+
+#[test]
+fn copy_blocks_matches_the_per_block_scan_on_split_marked_hosts() {
+    use pathmark::vm::codec::encode_program;
+
+    let config = JavaConfig::for_watermark_bits(64).with_pieces(12);
+    for workload in workloads::all() {
+        let key = key_for(workload.secret_input.clone());
+        let watermark = Watermark::random_for(&config, &key);
+        let marked = embedder(&key, &config)
+            .embed(&workload.program, &watermark)
+            .unwrap()
+            .program;
+        for seed in 0..4u64 {
+            let mut split = marked.clone();
+            attacks::split_blocks(&mut split, 100, seed);
+            let mut reference = split.clone();
+            let made = attacks::copy_blocks(&mut split, 30, seed ^ 1);
+            let expected = copy_blocks_per_block_scan(&mut reference, 30, seed ^ 1);
+            assert_eq!(made, expected, "{}, seed {seed}: copies made", workload.name);
+            assert_eq!(
+                encode_program(&split),
+                encode_program(&reference),
+                "{}, seed {seed}: attacked bytes",
+                workload.name
+            );
+        }
+    }
+}

@@ -37,13 +37,18 @@ const SEED: u64 = 0xF1E7_CAFE;
 
 /// The same small looped host the fleet pipeline tests use.
 fn host_program() -> Program {
+    looped_host(12)
+}
+
+/// A host summing `0..bound`: other bounds give other programs.
+fn looped_host(bound: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let mut f = FunctionBuilder::new("main", 0, 2);
     let head = f.new_label();
     let out = f.new_label();
     f.push(0).store(0);
     f.bind(head);
-    f.load(0).push(12).if_cmp(Cond::Ge, out);
+    f.load(0).push(bound).if_cmp(Cond::Ge, out);
     f.load(0).load(1).add().store(1);
     f.iinc(0, 1).goto(head);
     f.bind(out);
@@ -460,6 +465,138 @@ fn stats_surface_decode_cache_behavior() {
         after_second[1], after_first[1],
         "warm re-scan adds no misses: {after_second:?}"
     );
+    server.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon whose trace-cache counters land in the returned sink.
+fn metered_server(dir: &std::path::Path) -> (Server, Arc<MemorySink>) {
+    let sink = Arc::new(MemorySink::new());
+    let mut options = ServeOptions::new(dir.join("journal/serve"));
+    options.telemetry = Telemetry::new(sink.clone());
+    (Server::new(options).unwrap(), sink)
+}
+
+#[test]
+fn two_embeds_of_one_host_decode_it_once() {
+    let dir = temp_dir("residenthost");
+    let host_path = write_host(&dir);
+    let marked_dir = dir.join("marked").to_str().unwrap().to_string();
+    let (server, sink) = metered_server(&dir);
+    let capture = Capture::default();
+    // One connection per embed: each drains before the next, so the
+    // second cannot race the first on a cold entry.
+    for (i, job) in ["copy-000", "copy-001"].into_iter().enumerate() {
+        let mut lines = vec![embed_line("acme", job, &host_path, &marked_dir)];
+        if i == 0 {
+            lines.insert(0, open_line("acme"));
+        }
+        let responses = drive(&server, &capture, &lines);
+        let answer = responses.last().unwrap();
+        assert_eq!(Capture::field(answer, "status"), "ok", "{answer}");
+    }
+    assert_eq!(sink.counter(Counter::CacheMiss), 1, "decoded and traced once");
+    assert_eq!(sink.counter(Counter::CacheHit), 1);
+    server.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rewritten_host_file_is_embedded_as_the_new_program() {
+    use pathmark::fleet::batch::embed_one;
+    use pathmark::fleet::retry::RetryPolicy;
+    use pathmark::vm::trace::TraceConfig;
+
+    let dir = temp_dir("rewrittenhost");
+    let host_path = write_host(&dir);
+    let marked_dir = dir.join("marked").to_str().unwrap().to_string();
+    let (server, sink) = metered_server(&dir);
+    let capture = Capture::default();
+    drive(
+        &server,
+        &capture,
+        &[
+            open_line("acme"),
+            embed_line("acme", "copy-000", &host_path, &marked_dir),
+        ],
+    );
+    // Same path, other program.
+    let rewritten = looped_host(20);
+    std::fs::write(&host_path, encode_program(&rewritten)).unwrap();
+    let responses = drive(
+        &server,
+        &capture,
+        &[embed_line("acme", "copy-001", &host_path, &marked_dir)],
+    );
+    assert_eq!(Capture::field(&responses[0], "status"), "ok", "{responses:?}");
+    assert_eq!(sink.counter(Counter::CacheMiss), 2, "new bytes, new entry");
+
+    // In-process reference: the batch kernel on the rewritten program.
+    let embedder = Embedder::builder(serve_key(), serve_config()).build().unwrap();
+    let trace = TraceCache::new()
+        .get_or_trace(&rewritten, &serve_key(), &serve_config(), TraceConfig::full())
+        .unwrap();
+    let spec = EmbedJobSpec::new("copy-001");
+    let expected = embed_one(
+        &embedder,
+        &Arc::new(rewritten),
+        &trace,
+        &spec,
+        &RetryPolicy::none(),
+        &Telemetry::null(),
+    );
+    let served = std::fs::read(format!("{marked_dir}/copy-001.pmvm")).unwrap();
+    assert_eq!(served, encode_program(expected.marked.as_ref().unwrap()));
+    let first = std::fs::read(format!("{marked_dir}/copy-000.pmvm")).unwrap();
+    assert_ne!(served.len(), first.len(), "the copies come from different hosts");
+    server.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bad_host_fails_alike_on_every_request_and_is_never_cached() {
+    let dir = temp_dir("badhost");
+    let marked_dir = dir.join("marked").to_str().unwrap().to_string();
+    let undecodable = dir.join("garbage.pmvm");
+    std::fs::write(&undecodable, b"not a program").unwrap();
+    // Decodes, but names an entry function that does not exist.
+    let unverifiable = dir.join("unverifiable.pmvm");
+    let mut program = host_program();
+    program.entry = pathmark::vm::FuncId(7);
+    std::fs::write(&unverifiable, encode_program(&program)).unwrap();
+
+    let (server, sink) = metered_server(&dir);
+    let capture = Capture::default();
+    drive(&server, &capture, &[open_line("acme")]);
+    let mut job = 0;
+    for path in [&undecodable, &unverifiable] {
+        let path = path.to_str().unwrap();
+        let mut statuses = Vec::new();
+        for _ in 0..2 {
+            let id = format!("bad-{job}");
+            job += 1;
+            let responses = drive(
+                &server,
+                &capture,
+                &[embed_line("acme", &id, path, &marked_dir)],
+            );
+            statuses.push(Capture::field(&responses[0], "status"));
+        }
+        assert!(statuses[0].starts_with("failed: "), "{statuses:?}");
+        assert!(statuses[0].contains(path), "{statuses:?}");
+        assert_eq!(statuses[0], statuses[1], "the same error each time");
+    }
+    assert_eq!(sink.counter(Counter::CacheMiss), 4, "every request missed");
+    assert_eq!(sink.counter(Counter::CacheHit), 0, "nothing was cached");
+
+    // Repaired in place, the host embeds: the failures left no entry.
+    std::fs::write(&unverifiable, encode_program(&host_program())).unwrap();
+    let responses = drive(
+        &server,
+        &capture,
+        &[embed_line("acme", "fixed", unverifiable.to_str().unwrap(), &marked_dir)],
+    );
+    assert_eq!(Capture::field(&responses[0], "status"), "ok", "{responses:?}");
     server.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
