@@ -3,8 +3,11 @@
 //!
 //! [`Machine::step`] executes exactly one instruction and reports what
 //! happened — this is the "hardware single-stepping" interface the
-//! watermark extraction tracer of Section 4.2.3 is built on. Callers that
-//! only want program behavior use [`Machine::run`].
+//! watermark extraction tracer of Section 4.2.3 is built on.
+//! [`Machine::run_with`] is the one loop that single-steps a whole run:
+//! profiling, extraction and hop discovery pass it an [`Observer`] that
+//! sees every step, and callers that only want program behavior use
+//! [`Machine::run`].
 
 use crate::encode::decode;
 use crate::image::{Image, STACK_SIZE, STACK_TOP};
@@ -45,6 +48,7 @@ impl Flags {
     }
 
     /// Evaluates a condition code against the flags.
+    #[inline]
     pub fn cond(self, cc: Cc) -> bool {
         match cc {
             Cc::E => self.zf,
@@ -88,7 +92,8 @@ impl Memory {
     }
 
     /// Offset of `addr` inside the text section, if it maps there (the
-    /// decode cache of [`Machine::step`] is indexed by this).
+    /// decode memo of [`Machine::step`] is indexed by this).
+    #[inline]
     fn text_offset(&self, addr: u32) -> Option<usize> {
         if addr >= self.text_base {
             let off = (addr - self.text_base) as usize;
@@ -99,6 +104,7 @@ impl Memory {
         None
     }
 
+    #[inline]
     fn locate(&self, addr: u32) -> Result<(Seg, usize), SimError> {
         if addr >= self.text_base {
             let off = (addr - self.text_base) as usize;
@@ -124,6 +130,7 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::MemFault`] on unmapped addresses.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Result<u8, SimError> {
         let (seg, off) = self.locate(addr)?;
         Ok(match seg {
@@ -138,6 +145,7 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::MemFault`] on unmapped addresses.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, SimError> {
         // Fast path: the whole word lives in one segment (the
         // overwhelmingly common case for stack and data traffic), so one
@@ -167,6 +175,7 @@ impl Memory {
     ///
     /// [`SimError::TextWrite`] for text addresses (the text section is
     /// read-only at runtime); [`SimError::MemFault`] when unmapped.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), SimError> {
         let (seg, off) = self.locate(addr)?;
         match seg {
@@ -182,6 +191,7 @@ impl Memory {
     /// # Errors
     ///
     /// As for [`Memory::write_u8`].
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
         // Fast path mirror of `read_u32`: one locate, one 4-byte copy.
         let (seg, off) = self.locate(addr)?;
@@ -208,6 +218,7 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::MemFault`] when `addr` is unmapped.
+    #[inline]
     pub fn fetch_slice(&self, addr: u32, max: usize) -> Result<&[u8], SimError> {
         let (seg, off) = self.locate(addr)?;
         let seg_bytes = match seg {
@@ -243,6 +254,30 @@ pub struct Outcome {
     pub instructions: u64,
 }
 
+/// Watches the steps of [`Machine::run_with`].
+///
+/// Any `FnMut(&Step)` closure is an observer that sees every step and
+/// never stops the run.
+pub trait Observer {
+    /// Called before each instruction executes, with `eip` the address
+    /// about to run; returning `false` stops the run there.
+    #[inline]
+    fn before(&mut self, eip: u32) -> bool {
+        let _ = eip;
+        true
+    }
+
+    /// Called after each instruction executes, `halt` included.
+    fn after(&mut self, step: &Step);
+}
+
+impl<F: FnMut(&Step)> Observer for F {
+    #[inline]
+    fn after(&mut self, step: &Step) {
+        self(step)
+    }
+}
+
 /// A CPU wired to a memory: the unit of execution.
 ///
 /// See the [crate-level example](crate).
@@ -261,12 +296,16 @@ pub struct Machine {
     input_pos: usize,
     /// Accumulated `out` values.
     pub output: Vec<u32>,
-    /// Per-image predecode table over the text section, indexed by text
-    /// offset: each pc decodes at most once per load. Sound because the
-    /// text section is read-only at runtime ([`SimError::TextWrite`]), so
-    /// a cached decode can never go stale. Decode *errors* are not
-    /// cached — they propagate, and a faulted machine is dead anyway.
-    decoded: Vec<Option<(Insn, u8)>>,
+    /// Decode memo over the text section, one slot per text byte: 0
+    /// until the instruction at that offset first decodes, then one
+    /// more than its index in `decoded`. Each pc decodes at most once
+    /// per load. Sound because the text section is read-only at runtime
+    /// ([`SimError::TextWrite`]), so a memoized decode can never go
+    /// stale. Decode *errors* are not memoized — they propagate, and a
+    /// faulted machine is dead anyway.
+    slots: Vec<u32>,
+    /// The instructions decoded so far, with their lengths.
+    decoded: Vec<(Insn, u8)>,
 }
 
 impl Machine {
@@ -281,7 +320,8 @@ impl Machine {
             input: Vec::new(),
             input_pos: 0,
             output: Vec::new(),
-            decoded: vec![None; image.text.len()],
+            slots: vec![0; image.text.len()],
+            decoded: Vec::new(),
         };
         m.regs[Reg::Esp as usize] = STACK_TOP - 16;
         m
@@ -295,16 +335,19 @@ impl Machine {
     }
 
     /// Reads a register.
+    #[inline]
     pub fn reg(&self, r: Reg) -> u32 {
         self.regs[r as usize]
     }
 
     /// Writes a register.
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: u32) {
         self.regs[r as usize] = v;
     }
 
     /// Effective address of a memory operand.
+    #[inline]
     pub fn effective_addr(&self, m: &Mem) -> u32 {
         let mut addr = m.disp as u32;
         if let Some(b) = m.base {
@@ -316,6 +359,7 @@ impl Machine {
         addr
     }
 
+    #[inline]
     fn read_operand(&self, op: &Operand) -> Result<u32, SimError> {
         match op {
             Operand::Reg(r) => Ok(self.reg(*r)),
@@ -324,6 +368,7 @@ impl Machine {
         }
     }
 
+    #[inline]
     fn write_operand(&mut self, op: &Operand, value: u32, pc: u32) -> Result<(), SimError> {
         match op {
             Operand::Reg(r) => {
@@ -335,6 +380,7 @@ impl Machine {
         }
     }
 
+    #[inline]
     fn push(&mut self, value: u32) -> Result<(), SimError> {
         let esp = self.reg(Reg::Esp).wrapping_sub(4);
         self.mem.write_u32(esp, value)?;
@@ -342,6 +388,7 @@ impl Machine {
         Ok(())
     }
 
+    #[inline]
     fn pop(&mut self) -> Result<u32, SimError> {
         let esp = self.reg(Reg::Esp);
         let v = self.mem.read_u32(esp)?;
@@ -349,11 +396,13 @@ impl Machine {
         Ok(v)
     }
 
+    #[inline]
     fn set_zf_sf(&mut self, r: u32) {
         self.flags.zf = r == 0;
         self.flags.sf = (r as i32) < 0;
     }
 
+    #[inline]
     fn sub_flags(&mut self, a: u32, b: u32) -> u32 {
         let r = a.wrapping_sub(b);
         self.set_zf_sf(r);
@@ -370,6 +419,13 @@ impl Machine {
     /// considered dead (the resilience experiments treat any fault as
     /// "the program broke").
     pub fn step(&mut self) -> Result<Step, SimError> {
+        self.exec()
+    }
+
+    /// [`Machine::step`], inlined into every [`Machine::run_with`] loop,
+    /// including those instantiated in other crates.
+    #[inline(always)]
+    fn exec(&mut self) -> Result<Step, SimError> {
         let pc = self.eip;
         let (insn, len) = self.fetch_decode(pc)?;
         let fall = pc.wrapping_add(len as u32);
@@ -519,22 +575,60 @@ impl Machine {
     }
 
     /// Fetches and decodes the instruction at `pc`, consulting the text
-    /// predecode cache first: on the run/single-step hot path each text
-    /// pc reaches [`decode`] exactly once per [`Machine::load`]. A pc
-    /// outside text (executing from data or the stack is legal here)
-    /// decodes live every time.
+    /// decode memo first: on the stepping hot path each text pc reaches
+    /// [`decode`] exactly once per [`Machine::load`].
+    #[inline]
     fn fetch_decode(&mut self, pc: u32) -> Result<(Insn, usize), SimError> {
         if let Some(off) = self.mem.text_offset(pc) {
-            if let Some((insn, len)) = self.decoded[off] {
+            if let Some(index) = self.slots[off].checked_sub(1) {
+                let (insn, len) = self.decoded[index as usize];
                 return Ok((insn, len as usize));
             }
-            let window = self.mem.fetch_slice(pc, 16)?;
-            let (insn, len) = decode(window, pc)?;
-            self.decoded[off] = Some((insn, len as u8));
-            return Ok((insn, len));
         }
-        let window = self.mem.fetch_slice(pc, 16)?;
-        decode(window, pc)
+        self.decode_slow(pc)
+    }
+
+    /// The first fetch of a text pc, which fills its memo slot, and any
+    /// pc outside text (executing from data or the stack is legal
+    /// here), which decodes live every time.
+    #[cold]
+    #[inline(never)]
+    fn decode_slow(&mut self, pc: u32) -> Result<(Insn, usize), SimError> {
+        let (insn, len) = decode(self.mem.fetch_slice(pc, 16)?, pc)?;
+        if let Some(off) = self.mem.text_offset(pc) {
+            self.decoded.push((insn, len as u8));
+            // Each text offset decodes at most once, and offsets are u32.
+            self.slots[off] = u32::try_from(self.decoded.len()).expect("one entry per text offset");
+        }
+        Ok((insn, len))
+    }
+
+    /// Single-steps until `halt`, until `observer` stops the run, or
+    /// until `budget` instructions have executed — the one stepping loop
+    /// behind every run, profile and tracer. The observer sees each step
+    /// before and after it executes. Returns the number of steps when a
+    /// `halt` (counted) ended the run, `None` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Any fault from [`Machine::step`]; the steps before it have been
+    /// observed.
+    #[inline]
+    pub fn run_with<O: Observer>(
+        &mut self,
+        budget: u64,
+        observer: &mut O,
+    ) -> Result<Option<u64>, SimError> {
+        let mut executed = 0u64;
+        while executed < budget && observer.before(self.eip) {
+            let step = self.exec()?;
+            executed += 1;
+            observer.after(&step);
+            if step.halted {
+                return Ok(Some(executed));
+            }
+        }
+        Ok(None)
     }
 
     /// Runs until `halt` or the instruction budget is exhausted.
@@ -544,19 +638,12 @@ impl Machine {
     /// Any fault from [`Machine::step`], or
     /// [`SimError::BudgetExhausted`].
     pub fn run(&mut self, budget: u64) -> Result<Outcome, SimError> {
-        let mut executed = 0u64;
-        loop {
-            if executed >= budget {
-                return Err(SimError::BudgetExhausted { budget });
-            }
-            let step = self.step()?;
-            executed += 1;
-            if step.halted {
-                return Ok(Outcome {
-                    output: std::mem::take(&mut self.output),
-                    instructions: executed,
-                });
-            }
+        match self.run_with(budget, &mut |_: &Step| {})? {
+            Some(instructions) => Ok(Outcome {
+                output: std::mem::take(&mut self.output),
+                instructions,
+            }),
+            None => Err(SimError::BudgetExhausted { budget }),
         }
     }
 }

@@ -14,7 +14,9 @@
 //! * **indirect jumps through data memory** — the lock-down cells that
 //!   make the branch function's side effects essential;
 //! * a **single-steppable CPU** ([`cpu::Machine::step`]) — the hardware
-//!   single-stepping tracer of Section 4.2.3;
+//!   single-stepping tracer of Section 4.2.3 — with one stepping loop
+//!   ([`cpu::Machine::run_with`]) and the shadow stack that finds
+//!   branch-function hops ([`shadow`]);
 //! * a **link-time-style rewriter** ([`rewrite`]) that disassembles the
 //!   text section, transforms it, reassigns addresses, and fixes up the
 //!   direct control transfers it can see — but, like any real rewriter,
@@ -58,6 +60,7 @@ pub mod insn;
 pub mod pretty;
 pub mod reg;
 pub mod rewrite;
+pub mod shadow;
 
 mod error;
 

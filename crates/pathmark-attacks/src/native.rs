@@ -8,10 +8,11 @@
 //! attacks are surgical, byte-level edits aimed specifically at the
 //! branch function.
 
-use nativesim::cpu::Machine;
+use nativesim::cpu::{Machine, Step};
 use nativesim::encode::{decode, encode};
 use nativesim::insn::Insn;
 use nativesim::rewrite::{Item, Unit};
+use nativesim::shadow::ShadowStack;
 use nativesim::{Image, SimError};
 use pathmark_crypto::Prng;
 
@@ -111,31 +112,18 @@ pub fn discover_hops(
     input: &[u32],
     budget: u64,
 ) -> Result<Vec<ObservedHop>, SimError> {
-    let mut machine = Machine::load(image).with_input(input.to_vec());
-    let mut shadow: Vec<(u32, u32)> = Vec::new(); // (expected ret, call pc)
+    let mut shadow = ShadowStack::default();
     let mut hops = Vec::new();
-    for _ in 0..budget {
-        let step = machine.step()?;
-        match step.insn {
-            Insn::Call(_) | Insn::CallInd(_) => {
-                shadow.push((step.pc + step.insn.len() as u32, step.pc));
+    Machine::load(image)
+        .with_input(input.to_vec())
+        .run_with(budget, &mut |step: &Step| {
+            if let Some((frame, landing)) = shadow.observe(step) {
+                hops.push(ObservedHop {
+                    call_site: frame.call_pc,
+                    landing,
+                });
             }
-            Insn::Ret => {
-                if let Some((expected, call_pc)) = shadow.pop() {
-                    if step.next_pc != expected {
-                        hops.push(ObservedHop {
-                            call_site: call_pc,
-                            landing: step.next_pc,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-        if step.halted {
-            break;
-        }
-    }
+        })?;
     Ok(hops)
 }
 

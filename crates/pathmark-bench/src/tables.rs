@@ -163,9 +163,19 @@ pub struct NativeRow {
     pub smart_recovers: bool,
 }
 
+/// Each attacked native copy runs, and is traced, under this many times
+/// the steps the unattacked marked copy takes on the same input. A
+/// working copy needs about 1×: rerouting adds one thunk jump per hop.
+/// A copy that exhausts it reports "does not run" or "does not recover",
+/// as a copy that never terminates (double watermarking spins) would
+/// under any budget.
+pub const ATTACKED_BUDGET_FACTOR: u64 = 2;
+
 /// Section 5.2.2: the five native attacks against a 64-bit mark in the
 /// parser-like program.
 pub fn native_matrix(_quick: bool) -> Vec<NativeRow> {
+    /// Budget of the runs that must terminate: the host's and the
+    /// unattacked marked copy's.
     const BUDGET: u64 = 500_000_000;
     let w = nworkloads::by_name("parser").expect("parser exists");
     let key = WatermarkKey::new(
@@ -188,6 +198,15 @@ pub fn native_matrix(_quick: bool) -> Vec<NativeRow> {
         .run(BUDGET)
         .expect("baseline runs")
         .output;
+    let marked_steps = |input: &[u32]| {
+        Machine::load(&mark.image)
+            .with_input(input.to_vec())
+            .run(BUDGET)
+            .expect("the marked copy runs")
+            .instructions
+    };
+    let run_budget = ATTACKED_BUDGET_FACTOR * marked_steps(&w.reference_input);
+    let extract_budget = ATTACKED_BUDGET_FACTOR * marked_steps(&key.native_input());
     let hops = nattacks::discover_hops(&mark.image, &key.native_input(), BUDGET)
         .expect("attacker traces");
     let sites: Vec<u32> = hops.iter().map(|h| h.call_site).collect();
@@ -235,11 +254,11 @@ pub fn native_matrix(_quick: bool) -> Vec<NativeRow> {
         };
         let program_runs = Machine::load(&image)
             .with_input(w.reference_input.clone())
-            .run(BUDGET)
+            .run(run_budget)
             .map(|o| o.output == baseline)
             .unwrap_or(false);
         let recovers = |tracer| {
-            extract(&image, &key.native_input(), spec, tracer, BUDGET)
+            extract(&image, &key.native_input(), spec, tracer, extract_budget)
                 .map(|bits| Watermark::from_bits(&bits).value() == watermark.value())
                 .unwrap_or(false)
         };

@@ -20,8 +20,8 @@
 //!   disturb (the tamper-proofing requires the hash input to stay
 //!   intact), so the chain is recovered even from rerouted binaries.
 
-use nativesim::cpu::Machine;
-use nativesim::insn::Insn;
+use nativesim::cpu::{Machine, Observer, Step};
+use nativesim::shadow::ShadowStack;
 use nativesim::Image;
 
 use crate::WatermarkError;
@@ -46,22 +46,59 @@ pub enum TracerKind {
     Smart,
 }
 
-/// One recorded machine step, with enough context for both tracers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Record {
-    pc: u32,
-    next_pc: u32,
-    kind: Kind,
+/// Hands `on_step` every step between the first time `begin` is about
+/// to execute and the first time after it that `end` is.
+struct Bracket<F> {
+    spec: ExtractionSpec,
+    recording: bool,
+    reached_end: bool,
+    on_step: F,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Call { ret_addr: u32 },
-    Ret,
-    Other,
+impl<F: FnMut(&Step)> Observer for Bracket<F> {
+    #[inline]
+    fn before(&mut self, eip: u32) -> bool {
+        self.recording |= eip == self.spec.begin;
+        self.reached_end = self.recording && eip == self.spec.end;
+        !self.reached_end
+    }
+
+    #[inline]
+    fn after(&mut self, step: &Step) {
+        if self.recording {
+            (self.on_step)(step);
+        }
+    }
+}
+
+/// Runs `image` on `input` from its entry, feeding `on_step` the
+/// bracketed steps; returns whether `end` was reached.
+fn trace_bracket(
+    image: &Image,
+    input: &[u32],
+    spec: ExtractionSpec,
+    budget: u64,
+    on_step: impl FnMut(&Step),
+) -> Result<bool, WatermarkError> {
+    let mut bracket = Bracket {
+        spec,
+        recording: false,
+        reached_end: false,
+        on_step,
+    };
+    Machine::load(image)
+        .with_input(input.to_vec())
+        .run_with(budget, &mut bracket)?;
+    Ok(bracket.reached_end)
 }
 
 /// Extracts the watermark bits from a marked image.
+///
+/// The shadow stack is walked as the steps land, so memory holds the
+/// live call frames and the hops, never the steps. The simple tracer
+/// runs the bracket twice: once to find the branch function's entry
+/// (the immediate target of the first mis-returning call) and the hop
+/// landings, once to see which instructions transferred control there.
 ///
 /// # Errors
 ///
@@ -79,102 +116,49 @@ pub fn extract(
     tracer: TracerKind,
     budget: u64,
 ) -> Result<Vec<bool>, WatermarkError> {
-    // --- Phase 1: single-step, recording between begin and end.
-    let mut machine = Machine::load(image).with_input(input.to_vec());
-    let mut records: Vec<Record> = Vec::new();
-    let mut recording = false;
-    let mut reached_end = false;
-    for _ in 0..budget {
-        if machine.eip == spec.begin {
-            recording = true;
+    // Hop i lands on call site i+1; the hop that lands on `end`
+    // terminates the chain and carries no bit. It is always the last
+    // hop, since reaching `end` stops the trace.
+    let mut shadow = ShadowStack::default();
+    let mut f_entry = None;
+    let mut chain_done = false;
+    let mut bits = Vec::new();
+    let mut landings = Vec::new();
+    let reached_end = trace_bracket(image, input, spec, budget, |step| {
+        let Some((frame, landing)) = shadow.observe(step) else {
+            return;
+        };
+        f_entry.get_or_insert(frame.target);
+        chain_done |= landing == spec.end;
+        if chain_done {
+            return;
         }
-        if recording && machine.eip == spec.end {
-            reached_end = true;
-            break;
-        }
-        let step = machine.step()?;
-        if recording {
-            let kind = match step.insn {
-                Insn::Call(_) | Insn::CallInd(_) => Kind::Call {
-                    ret_addr: step.pc + step.insn.len() as u32,
-                },
-                Insn::Ret => Kind::Ret,
-                _ => Kind::Other,
-            };
-            records.push(Record {
-                pc: step.pc,
-                next_pc: step.next_pc,
-                kind,
-            });
-        }
-        if step.halted {
-            break;
-        }
-    }
-    if !reached_end {
-        return Err(WatermarkError::EndNotReached);
-    }
-
-    // --- Phase 2: shadow-stack walk to find mis-returns.
-    // Frames: (expected return address, call pc, immediate call target).
-    let mut shadow: Vec<(u32, u32, u32)> = Vec::new();
-    // Mis-returns in order: (frame, landing address).
-    let mut mis_returns: Vec<((u32, u32, u32), u32)> = Vec::new();
-    for r in &records {
-        match r.kind {
-            Kind::Call { ret_addr } => shadow.push((ret_addr, r.pc, r.next_pc)),
-            Kind::Ret => {
-                if let Some(frame) = shadow.pop() {
-                    if r.next_pc != frame.0 {
-                        mis_returns.push((frame, r.next_pc));
-                    }
-                }
-            }
-            Kind::Other => {}
-        }
-    }
-    if mis_returns.is_empty() {
-        return Err(WatermarkError::NoBranchFunction);
-    }
-
-    // --- Phase 3: pair call sites with landings per tracer.
-    let hops: Vec<(u32, u32)> = match tracer {
-        TracerKind::Smart => {
+        match tracer {
             // a_i = hash input - call length; the hash input is the
             // expected (original) return address of the mis-returning
             // frame, which rerouting cannot change.
-            mis_returns
-                .iter()
-                .map(|&((expected_ret, _, _), landing)| (expected_ret - 5, landing))
-                .collect()
+            TracerKind::Smart => bits.push(landing > frame.ret_addr.wrapping_sub(5)),
+            TracerKind::Simple => landings.push(landing),
         }
-        TracerKind::Simple => {
-            // The branch function's entry is taken to be the immediate
-            // target of the first mis-returning frame's call; hops are
-            // attributed to whichever instruction transferred control
-            // there.
-            let f_entry = mis_returns[0].0 .2;
-            let mut entries: Vec<u32> = Vec::new();
-            for w in records.windows(2) {
-                if w[1].pc == f_entry && w[0].next_pc == f_entry {
-                    entries.push(w[0].pc);
+    })?;
+    if !reached_end {
+        return Err(WatermarkError::EndNotReached);
+    }
+    let Some(f_entry) = f_entry else {
+        return Err(WatermarkError::NoBranchFunction);
+    };
+    if tracer == TracerKind::Simple {
+        // The branch function's entry is taken to be the immediate
+        // target of the first mis-returning frame's call; hop i is
+        // attributed to the i-th instruction that transferred control
+        // there.
+        trace_bracket(image, input, spec, budget, |step| {
+            if step.next_pc == f_entry {
+                if let Some(&landing) = landings.get(bits.len()) {
+                    bits.push(landing > step.pc);
                 }
             }
-            entries
-                .into_iter()
-                .zip(mis_returns.iter().map(|&(_, landing)| landing))
-                .collect()
-        }
-    };
-
-    // --- Phase 4: bits. Hop i lands on call site i+1; the final hop
-    // lands on `end` and terminates the chain (it carries no bit).
-    let mut bits = Vec::new();
-    for &(a, b) in &hops {
-        if b == spec.end {
-            break;
-        }
-        bits.push(b > a);
+        })?;
     }
     Ok(bits)
 }
@@ -201,30 +185,16 @@ pub fn extract_auto(
     input: &[u32],
     budget: u64,
 ) -> Result<(Vec<bool>, ExtractionSpec), WatermarkError> {
-    let mut machine = Machine::load(image).with_input(input.to_vec());
-    // Shadow stack of (expected return address, call pc).
-    let mut shadow: Vec<(u32, u32)> = Vec::new();
+    let mut shadow = ShadowStack::default();
     // (hash-input call site, landing), in execution order.
     let mut hops: Vec<(u32, u32)> = Vec::new();
-    for _ in 0..budget {
-        let step = machine.step()?;
-        match step.insn {
-            Insn::Call(_) | Insn::CallInd(_) => {
-                shadow.push((step.pc + step.insn.len() as u32, step.pc));
+    Machine::load(image)
+        .with_input(input.to_vec())
+        .run_with(budget, &mut |step: &Step| {
+            if let Some((frame, landing)) = shadow.observe(step) {
+                hops.push((frame.ret_addr.wrapping_sub(5), landing));
             }
-            Insn::Ret => {
-                if let Some((expected, _)) = shadow.pop() {
-                    if step.next_pc != expected {
-                        hops.push((expected - 5, step.next_pc));
-                    }
-                }
-            }
-            _ => {}
-        }
-        if step.halted {
-            break;
-        }
-    }
+        })?;
     // Find the LONGEST maximal chain: hop i is chained to hop i+1 when
     // it lands exactly on hop i+1's call site. Decoy hops (ordinary
     // jumps obfuscated through the branch function) form chains of

@@ -11,18 +11,19 @@
 
 use std::collections::HashMap;
 
-use nativesim::cpu::Machine;
-use nativesim::Image;
+use nativesim::cpu::{Machine, Step};
+use nativesim::{Image, SimError};
 
+use crate::hash::FxBuildHasher;
 use crate::WatermarkError;
 
 /// A per-address execution profile of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
-    /// How many times each instruction address executed.
-    pub counts: HashMap<u32, u64>,
-    /// The step index at which each address first executed.
-    pub first_step: HashMap<u32, u64>,
+    /// Per executed address: how many times it executed, and the step
+    /// index at which it first executed. Keys are the owner's own
+    /// program addresses, so the fast hasher is safe here.
+    executed: HashMap<u32, (u64, u64), FxBuildHasher>,
     /// Total instructions executed.
     pub total: u64,
 }
@@ -30,12 +31,12 @@ pub struct Profile {
 impl Profile {
     /// Execution count of an address (0 if never executed).
     pub fn count(&self, addr: u32) -> u64 {
-        self.counts.get(&addr).copied().unwrap_or(0)
+        self.executed.get(&addr).map_or(0, |&(count, _)| count)
     }
 
     /// First execution step of an address, if it ever executed.
     pub fn first(&self, addr: u32) -> Option<u64> {
-        self.first_step.get(&addr).copied()
+        self.executed.get(&addr).map(|&(_, first)| first)
     }
 }
 
@@ -51,18 +52,18 @@ pub fn profile_image(
 ) -> Result<Profile, WatermarkError> {
     let mut machine = Machine::load(image).with_input(input.to_vec());
     let mut profile = Profile::default();
-    for step_index in 0..budget {
-        let step = machine.step()?;
-        *profile.counts.entry(step.pc).or_insert(0) += 1;
-        profile.first_step.entry(step.pc).or_insert(step_index);
+    let halted = machine.run_with(budget, &mut |step: &Step| {
+        profile
+            .executed
+            .entry(step.pc)
+            .or_insert((0, profile.total))
+            .0 += 1;
         profile.total += 1;
-        if step.halted {
-            return Ok(profile);
-        }
+    })?;
+    match halted {
+        Some(_) => Ok(profile),
+        None => Err(WatermarkError::Sim(SimError::BudgetExhausted { budget })),
     }
-    Err(WatermarkError::Sim(nativesim::SimError::BudgetExhausted {
-        budget,
-    }))
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 # (perfbench/ calls the public API), plus a fleet smoke run through the
 # CLI (16 copies embedded and recognized end to end, with stage-level
 # metrics captured), a quick fleet bench emitting BENCH_fleet.json, the
-# trace/scan equivalence gate, and a quick recognition bench emitting
-# BENCH_recognize.json. Both bench payloads are copied back to the repo
-# root so the checked-in snapshots never go stale relative to the code.
+# trace/scan, fused and native stepping equivalence gates, and a quick
+# recognition bench emitting BENCH_recognize.json. Both bench payloads
+# are copied back to the repo root so the checked-in snapshots never go
+# stale relative to the code.
 # Offline-safe: the workspace has no external dependencies.
 set -eu
 
@@ -120,6 +121,19 @@ echo "==> fused-equivalence gate: streaming scan == two-phase scan"
 # ran under tier-1 `cargo test -q` above.)
 cargo test -q -p pathmark-core --lib fused_scan_matches_two_phase_on_marked_traces
 cargo test -q -p pathmark-core --lib streamed_scan_matches_reference_on_adversarial_bitstrings
+
+echo "==> native stepping gate: one stepping loop == the per-function loops it replaced"
+# Machine::run, profile_image, extract (both tracers), extract_auto and
+# discover_hops all single-step through Machine::run_with. Each must
+# return exactly what its old hand-written step loop (kept as a
+# test-only reference) returns, values and errors, on all ten native
+# workloads, their marked copies and every Section 5.2.2 attack: at a
+# generous budget, at the exact budget needed and at one fewer (debug
+# builds check two workloads; this release run checks all ten). Then a
+# copy that spins after `begin` is traced for 10M steps by both tracers
+# and must peak under 32 MB.
+cargo test -q --release -p pathmark --test native_stepping
+cargo test -q --release -p pathmark-core --test extract_memory
 
 echo "==> recognition bench: quick mode emits well-formed BENCH_recognize.json"
 ( cd "$SMOKE" && "$ROOT/target/release/recognize" --quick > /dev/null )
