@@ -27,9 +27,8 @@
 //!   run boundaries a word at a time, letting the scan skip constant
 //!   all-zero/all-one stretches without touching the cipher.
 //!
-//! The words live behind an `Arc`, so cloning a `BitString` — e.g. to
-//! hand shards of one trace to a worker pool — shares the storage
-//! instead of copying the whole string.
+//! The words live behind an `Arc`, so cloning a `BitString` shares the
+//! storage instead of copying the whole string.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,8 +135,8 @@ pub fn window_from_words(words: &[u64], len: usize, offset: usize) -> Option<u64
 /// The first bit at or after `from` violating `period` in a packed word
 /// slice holding `len` bits: the smallest `q >= max(from, period)` with
 /// `bit(q) != bit(q - period)`, or `len` when the bits are
-/// `period`-periodic to the end. The shared word-parallel kernel behind
-/// [`BitString::next_period_mismatch`] and the streaming scanner's
+/// `period`-periodic to the end. The word-parallel kernel behind the
+/// streaming scanner's constant-run jump (`period == 1`) and periodic
 /// run extension — each packed word is XORed against the word `period`
 /// bits back (two shifted reads), and the difference words are
 /// classified **four at a time** with a single OR-reduction, so
@@ -449,29 +448,6 @@ impl BitString {
         }
     }
 
-    /// Index of the first bit at or after `from` that **violates**
-    /// period `period`: the smallest `q >= max(from, period)` with
-    /// `bit(q) != bit(q - period)`, or `len()` when the string is
-    /// `period`-periodic all the way to its end.
-    ///
-    /// This is the scan engine's widened pre-reject classifier
-    /// (generalizing the constant-run case, which is exactly
-    /// `period == 1`): inside a maximal violation-free stretch every
-    /// sliding window repeats the window one period earlier, so the
-    /// whole stretch can be accounted in bulk without rolling through
-    /// it. Delegates to the shared word-parallel
-    /// [`period_mismatch_in_words`] kernel (four words per step), which
-    /// the streaming scanner also runs over a builder's completed
-    /// words — the `period_mismatch_matches_naive_reference` property
-    /// test gates the kernel against the scalar definition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn next_period_mismatch(&self, from: usize, period: usize) -> usize {
-        period_mismatch_in_words(&self.words, self.len, from, period)
-    }
-
     /// Iterates over every sliding 64-bit window `B_0 = b_0…b_63`,
     /// `B_1 = b_1…b_64`, … (Section 3.3, step one of recognition) by
     /// rolling: each step shifts the previous window right one bit and
@@ -725,7 +701,7 @@ mod tests {
         assert_eq!(BitString::default().next_set_bit(0), None);
     }
 
-    /// Reference implementation of `next_period_mismatch`: a plain
+    /// Reference implementation of `period_mismatch_in_words`: a plain
     /// bit-at-a-time walk.
     fn naive_period_mismatch(bits: &[bool], from: usize, period: usize) -> usize {
         let mut q = from.max(period);
@@ -757,7 +733,7 @@ mod tests {
                 for period in [1usize, 2, 3, 7, 63, 64, 65, 100, 128, 130, 1000] {
                     for from in [0usize, 1, period, period + 1, 64, 65, 128, len / 2, len] {
                         assert_eq!(
-                            bs.next_period_mismatch(from, period),
+                            period_mismatch_in_words(bs.words(), bs.len(), from, period),
                             naive_period_mismatch(&bools, from, period),
                             "len {len} period {period} from {from}"
                         );
@@ -775,11 +751,12 @@ mod tests {
         bools[130] = true;
         bools[131] = true;
         let bs = BitString::from_bits(bools);
-        assert_eq!(bs.next_period_mismatch(1, 1), 130);
-        assert_eq!(bs.next_period_mismatch(131, 1), 132, "1->0 edge");
-        assert_eq!(bs.next_period_mismatch(133, 1), 300, "constant to the end");
+        let mismatch = |bs: &BitString, from| period_mismatch_in_words(bs.words(), bs.len(), from, 1);
+        assert_eq!(mismatch(&bs, 1), 130);
+        assert_eq!(mismatch(&bs, 131), 132, "1->0 edge");
+        assert_eq!(mismatch(&bs, 133), 300, "constant to the end");
         let ones = BitString::from_bits(vec![true; 70]);
-        assert_eq!(ones.next_period_mismatch(0, 1), 70, "padding is not a phantom flip");
+        assert_eq!(mismatch(&ones, 0), 70, "padding is not a phantom flip");
     }
 
     #[test]

@@ -30,8 +30,8 @@ use stackvm::insn::{BinOp, Cond, Insn};
 use stackvm::trace::{Site, Trace, TraceConfig};
 use stackvm::Program;
 
-use super::{CodegenPolicy, Embedder, JavaConfig};
-use crate::key::{Watermark, WatermarkKey};
+use super::{CodegenPolicy, Embedder};
+use crate::key::Watermark;
 use crate::WatermarkError;
 
 /// How one piece was inserted.
@@ -65,57 +65,6 @@ pub struct MarkedProgram {
     pub report: EmbedReport,
 }
 
-/// Embeds `watermark` into `program` under `key`.
-///
-/// # Errors
-///
-/// * [`WatermarkError::TraceFailed`] if the program cannot be traced on
-///   the secret input;
-/// * [`WatermarkError::WatermarkTooLarge`] if `W ≥ Π p_k`;
-/// * [`WatermarkError::NoInsertionPoint`] if the trace visited no
-///   blocks;
-/// * [`WatermarkError::Math`] for prime-configuration errors.
-#[deprecated(
-    note = "build an embedding session instead: `Embedder::builder(key, config).build()?.embed(program, watermark)`"
-)]
-pub fn embed(
-    program: &Program,
-    watermark: &Watermark,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-) -> Result<MarkedProgram, WatermarkError> {
-    Embedder::unchecked(key.clone(), config.clone()).embed(program, watermark)
-}
-
-/// Embeds `watermark` into `program` using a precomputed full trace of
-/// the *unmarked* program on the key's secret input.
-///
-/// This is the batch-fingerprinting entry point: tracing is the only
-/// embedding step that executes the program, so a fleet embedding N
-/// distinct watermarks into the same program can run
-/// [`trace_program`](super::trace_program) once (with
-/// [`TraceConfig::full`]) and share the
-/// immutable trace across all N jobs. `embed` is exactly
-/// `embed_with_trace(program, …, &trace_program(program, …)?)`, so the
-/// two paths produce byte-identical marked programs.
-///
-/// # Errors
-///
-/// Same as [`embed`], minus the tracing failure (the caller already
-/// traced).
-#[deprecated(
-    note = "build an embedding session instead: `Embedder::builder(key, config).build()?.embed_with_trace(program, watermark, trace)`"
-)]
-pub fn embed_with_trace(
-    program: &Program,
-    watermark: &Watermark,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-    trace: &Trace,
-) -> Result<MarkedProgram, WatermarkError> {
-    Embedder::unchecked(key.clone(), config.clone()).embed_with_trace(program, watermark, trace)
-}
-
 impl Embedder {
     /// Runs the tracing phase on the session's secret input, recording
     /// everything embedding needs ([`TraceConfig::full`]). Reported to
@@ -126,17 +75,8 @@ impl Embedder {
     /// [`WatermarkError::TraceFailed`] if the program faults or exceeds
     /// the budget.
     pub fn trace(&self, program: &Program) -> Result<Trace, WatermarkError> {
-        // Full recording needs the leader bitmap, so a compiled-tier
-        // session runs the predecoded engine here by design (no
-        // fallback counter — nothing was declined).
         self.telemetry.time(Stage::Trace, || {
-            super::trace_program_tiered(
-                program,
-                &self.key,
-                &self.config,
-                TraceConfig::full(),
-                self.exec_tier,
-            )
+            super::trace_program(program, &self.key, &self.config, TraceConfig::full())
         })
     }
 
@@ -145,7 +85,9 @@ impl Embedder {
     ///
     /// # Errors
     ///
-    /// As the [`embed`] free function.
+    /// * [`WatermarkError::TraceFailed`] if the program cannot be traced
+    ///   on the secret input;
+    /// * the errors of [`Embedder::embed_with_trace`].
     pub fn embed(
         &self,
         program: &Program,
@@ -156,8 +98,15 @@ impl Embedder {
     }
 
     /// Embeds `watermark` into `program` using a precomputed full trace
-    /// (the batch-fingerprinting entry point — see the
-    /// [`embed_with_trace`] free function for the sharing contract).
+    /// of the *unmarked* program on the key's secret input.
+    ///
+    /// This is the batch-fingerprinting entry point: tracing is the only
+    /// embedding step that executes the program, so a fleet embedding N
+    /// distinct watermarks into the same program can trace it once (with
+    /// [`TraceConfig::full`]) and share the immutable trace across all N
+    /// jobs. [`Embedder::embed`] is exactly `embed_with_trace(program, …,
+    /// &self.trace(program)?)`, so the two paths produce byte-identical
+    /// marked programs.
     ///
     /// Telemetry: one [`Stage::Split`] span for step A, one
     /// [`Stage::Encrypt`] and one [`Stage::Codegen`] span per piece, a
@@ -166,7 +115,10 @@ impl Embedder {
     ///
     /// # Errors
     ///
-    /// As the [`embed_with_trace`] free function.
+    /// * [`WatermarkError::WatermarkTooLarge`] if `W ≥ Π p_k`;
+    /// * [`WatermarkError::NoInsertionPoint`] if the trace visited no
+    ///   blocks;
+    /// * [`WatermarkError::Math`] for prime-configuration errors.
     pub fn embed_with_trace(
         &self,
         program: &Program,
@@ -477,6 +429,8 @@ fn condition_snippet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::java::JavaConfig;
+    use crate::key::WatermarkKey;
     use crate::bitstring::BitString;
     use stackvm::builder::{FunctionBuilder, ProgramBuilder};
     use stackvm::interp::Vm;

@@ -28,17 +28,10 @@ pub use session::{
     DEFAULT_DECODE_CACHE_CAP,
 };
 
-// The retired free-function entry points, kept as deprecated shims for
-// one release; every in-tree caller goes through the sessions.
-#[allow(deprecated)]
-pub use embed::{embed, embed_with_trace};
-#[allow(deprecated)]
-pub use recognize::{recognize, recognize_bits, recognize_from_candidates, window_candidates};
-
 use pathmark_math::primes::primes_needed;
 use stackvm::interp::Vm;
 use stackvm::trace::{Trace, TraceConfig};
-use stackvm::{ExecTier, Program};
+use stackvm::Program;
 
 use crate::bitstring::{BitString, PackedTraceSink};
 use crate::key::WatermarkKey;
@@ -259,29 +252,10 @@ pub fn trace_program(
     config: &JavaConfig,
     what: TraceConfig,
 ) -> Result<Trace, WatermarkError> {
-    trace_program_tiered(program, key, config, what, ExecTier::default())
-}
-
-/// [`trace_program`] on an explicit execution tier — what sessions call
-/// so their configured tier reaches the interpreter. The compiled tier
-/// falls back to the predecoded engine for configurations it does not
-/// cover (block/snapshot recording) and oversized programs.
-///
-/// # Errors
-///
-/// As [`trace_program`].
-pub fn trace_program_tiered(
-    program: &Program,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-    what: TraceConfig,
-    tier: ExecTier,
-) -> Result<Trace, WatermarkError> {
     let outcome = Vm::new(program)
         .with_input(key.input.clone())
         .with_budget(config.trace_budget)
         .with_trace(what)
-        .with_exec_tier(tier)
         .run()?;
     Ok(outcome.trace)
 }

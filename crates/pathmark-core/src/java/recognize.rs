@@ -24,18 +24,15 @@ use pathmark_crypto::BATCH_LANES;
 use pathmark_math::bigint::BigUint;
 use pathmark_math::crt::{combine_statements, Statement};
 use pathmark_telemetry::{Counter, Stage};
+use stackvm::interp::Vm;
 use stackvm::trace::{Trace, TraceConfig};
 use stackvm::Program;
 
-use stackvm::interp::Vm;
-use stackvm::ExecTier;
-
 use super::session::DecodeEntry;
-use super::{trace_program_tiered, JavaConfig, Recognizer};
+use super::{trace_program, Recognizer};
 use crate::bitstring::{BitString, PackedTraceSink};
-use crate::key::WatermarkKey;
-use crate::scan::{ScanMode, Survivors};
-use crate::scanner::{FusedScan, PeriodDetector, StreamingScanSink};
+use crate::scan::Survivors;
+use crate::scanner::{scan_range, FusedScan, StreamingScanSink};
 use crate::WatermarkError;
 
 /// Cap on distinct candidate statements fed to the quadratic graph
@@ -71,72 +68,6 @@ pub struct Recognition {
     pub survivors: usize,
 }
 
-/// Runs recognition on a (possibly attacked) program.
-///
-/// # Errors
-///
-/// * [`WatermarkError::TraceFailed`] if the program faults on the secret
-///   input (e.g. after a destructive attack);
-/// * [`WatermarkError::Math`] for prime-configuration errors.
-#[deprecated(
-    note = "build a recognition session instead: `Recognizer::builder(key, config).build()?.recognize(program)`"
-)]
-pub fn recognize(
-    program: &Program,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-) -> Result<Recognition, WatermarkError> {
-    Recognizer::unchecked(key.clone(), config.clone()).recognize(program)
-}
-
-/// Recognition from an already-decoded bit-string (used by experiments
-/// that model attacks as direct bit perturbations).
-///
-/// # Errors
-///
-/// [`WatermarkError::Math`] for prime-configuration errors.
-#[deprecated(
-    note = "build a recognition session instead: `Recognizer::builder(key, config).build()?.recognize_bits(bits)`"
-)]
-pub fn recognize_bits(
-    bits: &BitString,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-) -> Result<Recognition, WatermarkError> {
-    Recognizer::unchecked(key.clone(), config.clone()).recognize_bits(bits)
-}
-
-/// Step one of recognition, restricted to the sliding windows whose
-/// *start offsets* fall in `[start, end)`: decrypt each window and
-/// collect the decodable candidate statements with multiplicity.
-///
-/// Degenerate all-zero/all-one windows are skipped: a constant 64-bit
-/// run cannot be watermark ciphertext except with probability `2^-63`,
-/// but arises constantly from monotone branches.
-///
-/// Sharded recognition splits the full offset range into disjoint
-/// chunks, scans them in parallel, and merges the returned maps by
-/// summing multiplicities; because window `i` depends only on bits
-/// `i..i+64`, the merged map is identical to a single scan of
-/// `[0, len)`, so feeding it to [`recognize_from_candidates`] is
-/// bit-identical to the serial [`recognize_bits`].
-///
-/// # Errors
-///
-/// [`WatermarkError::Math`] for prime-configuration errors.
-#[deprecated(
-    note = "build a recognition session instead: `Recognizer::builder(key, config).build()?.window_candidates(bits, start, end)`"
-)]
-pub fn window_candidates(
-    bits: &BitString,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-    start: usize,
-    end: usize,
-) -> Result<HashMap<Statement, u64>, WatermarkError> {
-    Recognizer::unchecked(key.clone(), config.clone()).window_candidates(bits, start, end)
-}
-
 impl Recognizer {
     /// Runs the tracing phase on the session's secret input, recording
     /// only what recognition needs ([`TraceConfig::branches_only`]).
@@ -148,13 +79,7 @@ impl Recognizer {
     /// the budget.
     pub fn trace(&self, program: &Program) -> Result<Trace, WatermarkError> {
         self.telemetry.time(Stage::Trace, || {
-            trace_program_tiered(
-                program,
-                &self.key,
-                &self.config,
-                TraceConfig::branches_only(),
-                self.exec_tier,
-            )
+            trace_program(program, &self.key, &self.config, TraceConfig::branches_only())
         })
     }
 
@@ -164,11 +89,8 @@ impl Recognizer {
     /// runs. Bit-identical to [`Recognizer::trace`] +
     /// [`BitString::from_trace`].
     ///
-    /// Runs on the session's [`ExecTier`] (default compiled). The
-    /// compile step is reported to telemetry as [`Stage::Compile`] and
-    /// the execution as [`Stage::Trace`]; a compiled-tier session whose
-    /// program exceeds the compile budget silently runs the predecoded
-    /// engine and bumps [`Counter::CompileFallback`].
+    /// The compile step is reported to telemetry as [`Stage::Compile`]
+    /// and the execution as [`Stage::Trace`].
     ///
     /// # Errors
     ///
@@ -178,12 +100,8 @@ impl Recognizer {
         let vm = Vm::new(program)
             .with_input(self.key.input.clone())
             .with_budget(self.config.trace_budget)
-            .with_trace(TraceConfig::branches_only())
-            .with_exec_tier(self.exec_tier);
-        let compiled_active = self.telemetry.time(Stage::Compile, || vm.prepare());
-        if self.exec_tier == ExecTier::Compiled && !compiled_active {
-            self.telemetry.count(Counter::CompileFallback, 1);
-        }
+            .with_trace(TraceConfig::branches_only());
+        self.telemetry.time(Stage::Compile, || vm.prepare());
         self.telemetry.time(Stage::Trace, || {
             let mut sink = PackedTraceSink::for_program(program);
             vm.run_with_sink(&mut sink)?;
@@ -191,33 +109,20 @@ impl Recognizer {
         })
     }
 
-    /// Runs recognition on a (possibly attacked) program, on the
-    /// session's [`ScanMode`]:
-    ///
-    /// * [`ScanMode::Fused`] (the default) traces through the streaming
-    ///   scan sink ([`Recognizer::trace_survivors`]), so trace and the
-    ///   window roll are one pass over the program's execution;
-    /// * [`ScanMode::TwoPhase`] materializes the bit-string first
-    ///   ([`Recognizer::trace_bits`]) and scans it afterwards.
-    ///
-    /// The modes are bit-identical (CI property-gates `Survivors` and
-    /// `Recognition` equality across all execution tiers).
+    /// Runs recognition on a (possibly attacked) program: traces it
+    /// through the streaming scan sink ([`Recognizer::trace_survivors`]),
+    /// so trace and window scan are one pass over the program's
+    /// execution, then decrypts the survivors and recombines.
     ///
     /// # Errors
     ///
-    /// As the [`recognize`] free function.
+    /// * [`WatermarkError::TraceFailed`] if the program faults on the
+    ///   secret input (e.g. after a destructive attack);
+    /// * [`WatermarkError::Math`] for prime-configuration errors.
     pub fn recognize(&self, program: &Program) -> Result<Recognition, WatermarkError> {
-        match self.scan_mode {
-            ScanMode::Fused => {
-                let scan = self.trace_survivors(program)?;
-                let counts = self.candidates_from_survivors(&scan.survivors)?;
-                self.recognize_from_candidates(counts)
-            }
-            ScanMode::TwoPhase => {
-                let bits = self.trace_bits(program)?;
-                self.recognize_bits(&bits)
-            }
-        }
+        let scan = self.trace_survivors(program)?;
+        let counts = self.candidates_from_survivors(&scan.survivors)?;
+        self.recognize_from_candidates(counts)
     }
 
     /// The fused trace→scan pass: traces the program through a
@@ -230,9 +135,8 @@ impl Recognizer {
     /// [`Recognizer::trace_bits`]' string (see [`crate::scanner`] for
     /// the equivalence argument).
     ///
-    /// Runs on the session's [`ExecTier`] like [`Recognizer::trace_bits`]
-    /// (same [`Stage::Compile`] span and [`Counter::CompileFallback`]
-    /// accounting). The fused pass is reported as a [`Stage::Trace`]
+    /// The compile step is a [`Stage::Compile`] span, as in
+    /// [`Recognizer::trace_bits`]. The fused pass is reported as a [`Stage::Trace`]
     /// span plus a [`Stage::ScanRoll`] span — the scanner's share is
     /// measured inside the sink and subtracted from the trace total, so
     /// the two spans sum to the pass without double counting — plus the
@@ -246,12 +150,8 @@ impl Recognizer {
         let vm = Vm::new(program)
             .with_input(self.key.input.clone())
             .with_budget(self.config.trace_budget)
-            .with_trace(TraceConfig::branches_only())
-            .with_exec_tier(self.exec_tier);
-        let compiled_active = self.telemetry.time(Stage::Compile, || vm.prepare());
-        if self.exec_tier == ExecTier::Compiled && !compiled_active {
-            self.telemetry.count(Counter::CompileFallback, 1);
-        }
+            .with_trace(TraceConfig::branches_only());
+        self.telemetry.time(Stage::Compile, || vm.prepare());
         let timed = self.telemetry.enabled();
         let started = timed.then(std::time::Instant::now);
         let mut sink = StreamingScanSink::for_program(program, timed);
@@ -268,47 +168,29 @@ impl Recognizer {
         Ok(scan)
     }
 
-    /// Recognition from an already-decoded bit-string.
+    /// Recognition from an already-decoded bit-string (used by
+    /// experiments that model attacks as direct bit perturbations).
     ///
     /// # Errors
     ///
-    /// As the [`recognize_bits`] free function.
+    /// [`WatermarkError::Math`] for prime-configuration errors.
     pub fn recognize_bits(&self, bits: &BitString) -> Result<Recognition, WatermarkError> {
         let counts = self.window_candidates(bits, 0, usize::MAX)?;
         self.recognize_from_candidates(counts)
     }
 
-    /// Phase one of the window scan: collect the *surviving window
-    /// values* of offsets `[start, end)` as a columnar [`Survivors`]
-    /// table, without touching the cipher.
+    /// Phase one of the window scan over a stored bit-string: collect
+    /// the *surviving window values* of offsets `[start, end)` as a
+    /// columnar [`Survivors`] table, without touching the cipher.
     ///
-    /// The scan *rolls*: the 64-bit window is shifted one bit per
-    /// offset out of the packed words instead of being rebuilt, and two
-    /// pre-rejects account whole stretches of offsets without rolling
-    /// through them — both built on the word-parallel
-    /// [`BitString::next_period_mismatch`], which classifies four
-    /// packed words per step:
-    ///
-    /// * **constant runs** (the period-1 case): an all-zero/all-one
-    ///   window is *skipped* — not merely cheaply rejected — because a
-    ///   constant 64-bit run cannot be watermark ciphertext except with
-    ///   probability `2^-63`, yet arises constantly from monotone
-    ///   branches; the scan jumps past the whole run at once.
-    /// * **periodic runs**: trace bit-strings repeat at the host's
-    ///   loop-body period, so most windows are exact copies of the
-    ///   window one period earlier. A [`crate::scanner::PeriodDetector`]
-    ///   votes on repeat distances; when a probed candidate period
-    ///   extends into a long periodic run, every window of the run is
-    ///   *bulk accounted* to its representative one period back —
-    ///   `window(o) = window(r)` for `r ≡ o (mod p)` in the period
-    ///   before the run — with exact multiplicity and first offset, so
-    ///   the resulting table is bit-identical to rolling through the
-    ///   run one offset at a time (CI property-gates this).
-    ///
-    /// This is the [`ScanMode::TwoPhase`] roll (and the only shape
-    /// sharded sub-ranges and pre-traced bit-strings can use); the
-    /// fused [`Recognizer::trace_survivors`] produces the identical
-    /// table without a second pass.
+    /// Degenerate all-zero/all-one windows are skipped: a constant 64-bit
+    /// run cannot be watermark ciphertext except with probability
+    /// `2^-63`, but arises constantly from monotone branches. The stored
+    /// words run through the same streaming scanner the fused
+    /// [`Recognizer::trace_survivors`] drives while tracing (see
+    /// [`crate::scanner`] for its constant-run and periodic-run
+    /// pre-rejects), so over the full range the table is bit-identical
+    /// to the fused pass's.
     ///
     /// Telemetry: one [`Stage::ScanRoll`] span, plus
     /// [`Counter::WindowsScanned`] (windows the range covers, skipped
@@ -317,87 +199,9 @@ impl Recognizer {
     pub fn window_survivors(&self, bits: &BitString, start: usize, end: usize) -> Survivors {
         let end = end.min(bits.num_windows());
         let start = start.min(end);
-        let mut skipped = 0u64;
-        let table = self.telemetry.time(Stage::ScanRoll, || {
-            let words = bits.words();
-            // Upper bound: every window survives distinctly. Avoids
-            // doubling-copy churn on big traces.
-            let mut entries: Vec<(u64, u64, u64)> = Vec::with_capacity(end - start);
-            let mut detector = PeriodDetector::new();
-            // The period the scan last bulk-skipped on; probed eagerly.
-            let mut hot = 0usize;
-            let mut offset = start;
-            let mut window = match bits.window_u64(offset) {
-                Some(w) => w,
-                None => return Survivors::new(), // start == end: empty range
-            };
-            while offset < end {
-                if window == 0 || window == u64::MAX {
-                    // Constant run: every window up to (just past) the
-                    // next flipped bit is equally constant. Jump there.
-                    let flip = bits.next_period_mismatch(offset + 64, 1);
-                    let next = if flip >= bits.len() {
-                        end
-                    } else {
-                        // The first offset whose window sees the flip.
-                        (flip - 63).min(end)
-                    }
-                    .max(offset + 1);
-                    skipped += (next - offset) as u64;
-                    offset = next;
-                    if offset < end {
-                        window = bits.window_u64(offset).expect("offset < num_windows");
-                    }
-                    continue;
-                }
-                if let Some(period) = detector.probe(words, bits.len(), offset, window, hot) {
-                    // The probe verified window(offset) == window(offset
-                    // - period); extend: bits agree with their
-                    // period-shifted selves up to `mismatch`, so every
-                    // window at [offset, mismatch - 64] is periodic.
-                    let mismatch = bits.next_period_mismatch(offset + 64, period);
-                    // Engage only when the run covers meaningfully more
-                    // than the verified window (half a period beyond).
-                    if mismatch >= offset + 64 + period / 2 {
-                        let stop = (mismatch - 64).min(end - 1);
-                        // Bulk-account [offset, stop]: each window there
-                        // equals its representative r one-to-few periods
-                        // back. Representatives at [offset - period,
-                        // offset) were already scanned normally; their
-                        // in-run copies sit at r + period, r + 2·period,
-                        // … ≤ stop. Constant representatives are dropped
-                        // — their copies are equally constant.
-                        for r in offset - period..offset {
-                            let value = bits.window_u64(r).expect("r < offset < num_windows");
-                            if value == 0 || value == u64::MAX {
-                                continue;
-                            }
-                            let count = ((stop - r) / period) as u64;
-                            if count > 0 {
-                                entries.push((value, count, (r + period) as u64));
-                            }
-                        }
-                        skipped += (stop - offset + 1) as u64;
-                        hot = period;
-                        offset = stop + 1;
-                        if offset < end {
-                            window = bits.window_u64(offset).expect("offset < num_windows");
-                        }
-                        continue;
-                    }
-                }
-                detector.push(window, offset);
-                entries.push((window, 1, offset as u64));
-                // Roll: shift the leaving bit out, the incoming bit in.
-                offset += 1;
-                if offset < end {
-                    let incoming = offset + 63;
-                    let bit = (words[incoming / 64] >> (incoming % 64)) & 1;
-                    window = (window >> 1) | (bit << 63);
-                }
-            }
-            Survivors::from_entries(entries)
-        });
+        let (table, skipped) = self
+            .telemetry
+            .time(Stage::ScanRoll, || scan_range(bits, start, end));
         self.telemetry
             .count(Counter::WindowsScanned, (end - start) as u64);
         self.telemetry.count(Counter::WindowsSkipped, skipped);
@@ -409,9 +213,9 @@ impl Recognizer {
     /// summing the value's multiplicity into the statement's count —
     /// exactly the multiset a decrypt-per-offset scan produces.
     ///
-    /// `survivors` is the columnar table [`Recognizer::window_survivors`]
-    /// produced (or a [`Survivors::merge`] of several shards' tables).
-    /// Its rows are distinct by construction, so cache misses stream
+    /// `survivors` is the columnar table [`Recognizer::trace_survivors`]
+    /// or [`Recognizer::window_survivors`] produced. Its rows are
+    /// distinct by construction, so cache misses stream
     /// straight into [`BATCH_LANES`]-wide lanes and through
     /// [`pathmark_crypto::Xtea::decrypt_batch`] — the 32-round loop
     /// runs once per lane batch instead of once per value.
@@ -425,8 +229,7 @@ impl Recognizer {
     /// it, and the misses merge in after decryption.
     ///
     /// Telemetry: one [`Stage::ScanDecrypt`] span (the scan's
-    /// decryption half, identical on both scan modes),
-    /// plus [`Counter::WindowsDecrypted`] (window values that actually
+    /// decryption half), plus [`Counter::WindowsDecrypted`] (window values that actually
     /// reached the cipher), [`Counter::DecodeCacheHit`] /
     /// [`Counter::DecodeCacheMiss`] / [`Counter::DecodeCacheEvict`]
     /// (cache behavior, also folded into the session's
@@ -527,10 +330,11 @@ impl Recognizer {
         Ok(counts)
     }
 
-    /// The sliding-window candidate scan (see the [`window_candidates`]
-    /// free function for the sharding contract): both phases —
-    /// [`Recognizer::window_survivors`] then
-    /// [`Recognizer::candidates_from_survivors`] — over one range.
+    /// The sliding-window candidate scan: step one of recognition over
+    /// the windows whose *start offsets* fall in `[start, end)` — both
+    /// halves, [`Recognizer::window_survivors`] then
+    /// [`Recognizer::candidates_from_survivors`] — collecting the
+    /// decodable candidate statements with multiplicity.
     ///
     /// # Errors
     ///
@@ -546,30 +350,13 @@ impl Recognizer {
     }
 }
 
-/// Steps two onward of recognition, from an already-collected candidate
-/// multiset (see [`window_candidates`]): the `W mod p_i` vote
-/// prefilter, the G/H consistency graphs, and Generalized CRT
-/// recombination. Entirely deterministic in `counts`' *contents* (map
-/// iteration order never leaks into the result).
-///
-/// # Errors
-///
-/// [`WatermarkError::Math`] for prime-configuration errors.
-#[deprecated(
-    note = "build a recognition session instead: `Recognizer::builder(key, config).build()?.recognize_from_candidates(counts)`"
-)]
-pub fn recognize_from_candidates(
-    counts: HashMap<Statement, u64>,
-    key: &WatermarkKey,
-    config: &JavaConfig,
-) -> Result<Recognition, WatermarkError> {
-    Recognizer::unchecked(key.clone(), config.clone()).recognize_from_candidates(counts)
-}
-
 impl Recognizer {
-    /// Steps two onward of recognition (see the
-    /// [`recognize_from_candidates`] free function for the determinism
-    /// contract).
+    /// Steps two onward of recognition, from an already-collected
+    /// candidate multiset (see [`Recognizer::window_candidates`]): the
+    /// `W mod p_i` vote prefilter, the G/H consistency graphs, and
+    /// Generalized CRT recombination. Entirely deterministic in
+    /// `counts`' *contents* (map iteration order never leaks into the
+    /// result).
     ///
     /// Telemetry: one span each for [`Stage::Vote`], [`Stage::Graph`],
     /// and [`Stage::Crt`].
@@ -776,8 +563,8 @@ impl Recognizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::java::{CodegenPolicy, Embedder};
-    use crate::key::Watermark;
+    use crate::java::{CodegenPolicy, Embedder, JavaConfig};
+    use crate::key::{Watermark, WatermarkKey};
     use pathmark_crypto::Prng;
     use stackvm::builder::{FunctionBuilder, ProgramBuilder};
     use stackvm::insn::Cond;
@@ -844,17 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_free_functions_still_round_trip() {
-        // The retired wrappers stay behaviorally intact until removal.
-        #![allow(deprecated)]
-        let config = JavaConfig::for_watermark_bits(64).with_pieces(12);
-        let watermark = Watermark::random_for(&config, &key());
-        let marked = crate::java::embed(&host_program(), &watermark, &key(), &config).unwrap();
-        let rec = crate::java::recognize(&marked.program, &key(), &config).unwrap();
-        assert_eq!(rec.watermark.as_ref(), Some(watermark.value()));
-    }
-
-    #[test]
     fn periodic_prereject_matches_reference_scan_on_marked_traces() {
         // CI equivalence gate: the production scan (constant-run and
         // periodic-run pre-rejects engaged) must produce the exact
@@ -875,45 +651,37 @@ mod tests {
 
     #[test]
     fn fused_scan_matches_two_phase_on_marked_traces() {
-        // CI equivalence gate: the fused streaming scan must reproduce
-        // the two-phase pipeline bit for bit — the same trace
-        // bit-string, the same survivor table (values, multiplicities,
-        // first offsets), and the same recognition — on real marked
-        // traces, across every execution tier.
-        for (pieces, tier) in [
-            (10usize, ExecTier::Reference),
-            (10, ExecTier::Predecoded),
-            (10, ExecTier::Compiled),
-            (30, ExecTier::Compiled),
-        ] {
+        // CI equivalence gate: the fused trace+scan pass must reproduce
+        // the two-phase pipeline bit for bit — the trace bit-string of
+        // the reference interpreter, the naive survivor table (values,
+        // multiplicities, first offsets) of that string, and the
+        // recognition of the stored string — on real marked traces.
+        for pieces in [10usize, 30] {
             let config = JavaConfig::for_watermark_bits(128).with_pieces(pieces);
             let watermark = Watermark::random_for(&config, &key());
             let marked = embedder(&config).embed(&host_program(), &watermark).unwrap();
+            let session = recognizer(&config);
 
-            let fused = Recognizer::builder(key(), config.clone())
-                .exec_tier(tier)
-                .build()
+            let scan = session.trace_survivors(&marked.program).unwrap();
+            let reference = Vm::new(&marked.program)
+                .with_input(key().input)
+                .with_budget(config.trace_budget)
+                .with_trace(TraceConfig::branches_only())
+                .run_reference()
                 .unwrap();
-            let two_phase = Recognizer::builder(key(), config.clone())
-                .exec_tier(tier)
-                .scan_mode(ScanMode::TwoPhase)
-                .build()
-                .unwrap();
-
-            let scan = fused.trace_survivors(&marked.program).unwrap();
-            let bits = two_phase.trace_bits(&marked.program).unwrap();
-            assert_eq!(scan.bits, bits, "{pieces} pieces, {tier} tier: trace bits");
+            let bits = BitString::from_trace(&reference.trace);
+            assert_eq!(scan.bits, bits, "{pieces} pieces: trace bits");
             assert_eq!(
                 scan.survivors,
-                two_phase.window_survivors(&bits, 0, usize::MAX),
-                "{pieces} pieces, {tier} tier: survivor table"
+                reference_survivors(&bits, 0, usize::MAX),
+                "{pieces} pieces: survivor table"
             );
             assert_eq!(scan.scanned, bits.num_windows() as u64);
             assert!(scan.skipped <= scan.scanned);
 
-            let a = fused.recognize(&marked.program).unwrap();
-            let b = two_phase.recognize(&marked.program).unwrap();
-            assert_eq!(a, b, "{pieces} pieces, {tier} tier: recognition");
+            let a = session.recognize(&marked.program).unwrap();
+            let b = session.recognize_bits(&bits).unwrap();
+            assert_eq!(a, b, "{pieces} pieces: recognition");
             assert_eq!(a.watermark.as_ref(), Some(watermark.value()));
         }
     }
@@ -922,8 +690,8 @@ mod tests {
     fn periodic_prereject_matches_reference_scan_on_adversarial_bitstrings() {
         // Random strings (pre-reject mostly idle), all-constant runs,
         // and exactly-periodic strings at awkward periods (the
-        // pre-reject engages constantly) — plus random shard splits,
-        // whose merged tables must equal the full-range table.
+        // pre-reject engages constantly) — plus sub-ranges, whose tables
+        // must equal the naive scan of the same range.
         let config = JavaConfig::for_watermark_bits(64).with_pieces(10);
         let session = recognizer(&config);
         let mut rng = Prng::from_seed(0xADE5A1);
@@ -954,14 +722,17 @@ mod tests {
             let full = session.window_survivors(&bits, 0, usize::MAX);
             let reference = reference_survivors(&bits, 0, usize::MAX);
             assert_eq!(full, reference, "case {case}");
-            // Shard-split: disjoint ranges merge to the full table.
             let n = bits.num_windows();
-            for shards in [2usize, 3, 5] {
-                let chunk = n.div_ceil(shards).max(1);
-                let parts: Vec<Survivors> = (0..shards)
-                    .map(|s| session.window_survivors(&bits, s * chunk, ((s + 1) * chunk).min(n)))
-                    .collect();
-                assert_eq!(Survivors::merge(parts), reference, "case {case}, {shards} shards");
+            for parts in [2usize, 3, 5] {
+                let chunk = n.div_ceil(parts).max(1);
+                for p in 0..parts {
+                    let (start, end) = (p * chunk, ((p + 1) * chunk).min(n));
+                    assert_eq!(
+                        session.window_survivors(&bits, start, end),
+                        reference_survivors(&bits, start, end),
+                        "case {case}, range {start}..{end}"
+                    );
+                }
             }
         }
     }

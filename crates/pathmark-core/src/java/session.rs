@@ -4,10 +4,8 @@
 //! to re-thread as a `(program, key, config)` tuple — the
 //! [`WatermarkKey`], the validated [`JavaConfig`], and an optional
 //! telemetry handle — behind one builder-constructed object. The fleet,
-//! the bench harness, and the CLI all go through these sessions, so the
-//! legacy free functions ([`super::embed`], [`super::recognize`], …)
-//! are now thin wrappers over a throwaway session and exist for
-//! backward compatibility.
+//! the bench harness, the daemon and the CLI all go through these
+//! sessions.
 //!
 //! Construction validates up front (see [`ConfigError`]): a session
 //! that builds is guaranteed a coherent prime/enumeration/piece
@@ -54,11 +52,9 @@ use pathmark_crypto::Xtea;
 use pathmark_math::crt::Statement;
 use pathmark_math::enumeration::PairEnumeration;
 use pathmark_telemetry::Telemetry;
-use stackvm::ExecTier;
 
 use super::JavaConfig;
 use crate::key::WatermarkKey;
-use crate::scan::ScanMode;
 use crate::{ConfigError, WatermarkError};
 
 /// Default ceiling on memoized window decodes: 2^15 entries (~1.3 MB
@@ -185,10 +181,9 @@ impl DecodeCache {
 /// Deriving these is not free — prime generation runs Miller–Rabin over
 /// candidate streams, and the enumeration validates pairwise
 /// coprimality — and before sessions cached them, *every*
-/// `window_candidates` call re-derived all three (once per shard per
-/// copy on the sharded path). Sessions now derive them once at
-/// [`Embedder::builder`]-`build()` / [`Recognizer::with_key`] time and
-/// share them via `Arc`.
+/// `window_candidates` call re-derived all three. Sessions now derive
+/// them once at [`Embedder::builder`]-`build()` /
+/// [`Recognizer::with_key`] time and share them via `Arc`.
 #[derive(Debug)]
 pub(crate) struct SessionCrypto {
     /// The prime set `p_1, …, p_r` for the session key.
@@ -297,8 +292,6 @@ pub struct Embedder {
     pub(crate) telemetry: Telemetry,
     pub(crate) crypto: Option<Arc<SessionCrypto>>,
     pub(crate) decode_cache_cap: usize,
-    pub(crate) exec_tier: ExecTier,
-    pub(crate) scan_mode: ScanMode,
 }
 
 /// A recognition session: the mirror image of [`Embedder`].
@@ -309,8 +302,6 @@ pub struct Recognizer {
     pub(crate) telemetry: Telemetry,
     pub(crate) crypto: Option<Arc<SessionCrypto>>,
     pub(crate) decode_cache_cap: usize,
-    pub(crate) exec_tier: ExecTier,
-    pub(crate) scan_mode: ScanMode,
 }
 
 /// Shared validation for both session builders.
@@ -331,34 +322,12 @@ macro_rules! session_impl {
                     config,
                     telemetry: Telemetry::null(),
                     decode_cache_cap: DEFAULT_DECODE_CACHE_CAP,
-                    exec_tier: ExecTier::default(),
-                    scan_mode: ScanMode::default(),
-                }
-            }
-
-            /// An unvalidated session with no telemetry — the legacy
-            /// free functions route through this so their (lenient)
-            /// behavior is unchanged. Crypto derivation failures are
-            /// deferred: they surface from the first call that needs
-            /// the primes, exactly as before sessions cached them.
-            pub(crate) fn unchecked(key: WatermarkKey, config: JavaConfig) -> $session {
-                let crypto =
-                    SessionCrypto::derive(&key, &config, DEFAULT_DECODE_CACHE_CAP).ok().map(Arc::new);
-                $session {
-                    key,
-                    config,
-                    telemetry: Telemetry::null(),
-                    crypto,
-                    decode_cache_cap: DEFAULT_DECODE_CACHE_CAP,
-                    exec_tier: ExecTier::default(),
-                    scan_mode: ScanMode::default(),
                 }
             }
 
             /// The cached key-derived state, or a fresh derivation when
-            /// construction deferred a failure (only possible on the
-            /// unvalidated legacy path — the fresh attempt then yields
-            /// the error the caller expects).
+            /// construction could not derive it (the fresh attempt then
+            /// yields the error the caller expects).
             pub(crate) fn crypto(&self) -> Result<Arc<SessionCrypto>, WatermarkError> {
                 match &self.crypto {
                     Some(crypto) => Ok(Arc::clone(crypto)),
@@ -374,23 +343,11 @@ macro_rules! session_impl {
                 self.decode_cache_cap
             }
 
-            /// The execution tier the session's tracing runs on.
-            pub fn exec_tier(&self) -> ExecTier {
-                self.exec_tier
-            }
-
-            /// The scan strategy recognition uses (fused streaming scan
-            /// vs the two-phase trace-then-scan reference).
-            pub fn scan_mode(&self) -> ScanMode {
-                self.scan_mode
-            }
-
             /// Decode-cache statistics of the session's shared crypto
             /// state. Sessions derived for the same key (see
             /// [`Self::with_key`]) share one state, so a warm daemon
             /// session's numbers accumulate across every copy it
-            /// recognizes. Zeros when crypto derivation was deferred
-            /// (only possible on the unvalidated legacy path).
+            /// recognizes. Zeros when crypto derivation was deferred.
             pub fn decode_cache_stats(&self) -> DecodeCacheStats {
                 match &self.crypto {
                     Some(crypto) => crypto.decode_cache_stats(),
@@ -439,8 +396,6 @@ macro_rules! session_impl {
                     telemetry: self.telemetry.clone(),
                     crypto,
                     decode_cache_cap: self.decode_cache_cap,
-                    exec_tier: self.exec_tier,
-                    scan_mode: self.scan_mode,
                 }
             }
         }
@@ -452,8 +407,6 @@ macro_rules! session_impl {
             config: JavaConfig,
             telemetry: Telemetry,
             decode_cache_cap: usize,
-            exec_tier: ExecTier,
-            scan_mode: ScanMode,
         }
 
         impl $builder {
@@ -471,26 +424,6 @@ macro_rules! session_impl {
             /// disables decode memoization entirely.
             pub fn decode_cache_cap(mut self, cap: usize) -> $builder {
                 self.decode_cache_cap = cap;
-                self
-            }
-
-            /// Selects the execution tier tracing runs on (default
-            /// [`ExecTier::Compiled`], which silently falls back to the
-            /// predecoded engine when the configuration or program
-            /// demands it — see [`stackvm::interp::Vm::prepare`]).
-            pub fn exec_tier(mut self, tier: ExecTier) -> $builder {
-                self.exec_tier = tier;
-                self
-            }
-
-            /// Selects the scan strategy recognition uses (default
-            /// [`ScanMode::Fused`], which folds the survivor scan into
-            /// the trace pass; [`ScanMode::TwoPhase`] materializes the
-            /// full bitstring first and scans it separately — the
-            /// reference the fused path is property-tested against, and
-            /// what the fleet's sharded scan uses internally).
-            pub fn scan_mode(mut self, mode: ScanMode) -> $builder {
-                self.scan_mode = mode;
                 self
             }
 
@@ -515,8 +448,6 @@ macro_rules! session_impl {
                     telemetry: self.telemetry,
                     crypto,
                     decode_cache_cap: self.decode_cache_cap,
-                    exec_tier: self.exec_tier,
-                    scan_mode: self.scan_mode,
                 })
             }
         }
@@ -651,64 +582,5 @@ mod tests {
         let recognizer = Recognizer::builder(key(), config).build().unwrap();
         let fresh = recognizer.with_key(copy_key);
         assert_eq!(memo(fresh.crypto().unwrap()), (0, 0), "fresh recognizer");
-    }
-
-    #[test]
-    fn exec_tier_is_configurable_and_inherited_by_with_key() {
-        use stackvm::ExecTier;
-
-        let config = JavaConfig::for_watermark_bits(64);
-        // The compile tier is the default for new sessions.
-        let session = Recognizer::builder(key(), config.clone()).build().unwrap();
-        assert_eq!(session.exec_tier(), ExecTier::Compiled);
-
-        let reference = Recognizer::builder(key(), config.clone())
-            .exec_tier(ExecTier::Reference)
-            .build()
-            .unwrap();
-        assert_eq!(reference.exec_tier(), ExecTier::Reference);
-        // Per-copy sessions keep the base session's tier.
-        let derived = reference.with_key(WatermarkKey::new(99, vec![1, 2]));
-        assert_eq!(derived.exec_tier(), ExecTier::Reference);
-
-        let embedder = Embedder::builder(key(), config)
-            .exec_tier(ExecTier::Predecoded)
-            .build()
-            .unwrap();
-        assert_eq!(embedder.exec_tier(), ExecTier::Predecoded);
-    }
-
-    #[test]
-    fn scan_mode_is_configurable_and_inherited_by_with_key() {
-        let config = JavaConfig::for_watermark_bits(64);
-        // The fused streaming scan is the default for new sessions.
-        let session = Recognizer::builder(key(), config.clone()).build().unwrap();
-        assert_eq!(session.scan_mode(), ScanMode::Fused);
-
-        let two_phase = Recognizer::builder(key(), config.clone())
-            .scan_mode(ScanMode::TwoPhase)
-            .build()
-            .unwrap();
-        assert_eq!(two_phase.scan_mode(), ScanMode::TwoPhase);
-        // Per-copy sessions keep the base session's scan mode.
-        let derived = two_phase.with_key(WatermarkKey::new(99, vec![1, 2]));
-        assert_eq!(derived.scan_mode(), ScanMode::TwoPhase);
-
-        let embedder = Embedder::builder(key(), config)
-            .scan_mode(ScanMode::TwoPhase)
-            .build()
-            .unwrap();
-        assert_eq!(embedder.scan_mode(), ScanMode::TwoPhase);
-    }
-
-    #[test]
-    fn unchecked_skips_validation() {
-        // The legacy free functions tolerate empty inputs; their
-        // internal constructor must too.
-        let session = Embedder::unchecked(
-            WatermarkKey::new(1, vec![]),
-            JavaConfig::for_watermark_bits(64),
-        );
-        assert!(session.key().input.is_empty());
     }
 }

@@ -79,4 +79,4 @@ pub mod scanner;
 mod error;
 
 pub use error::{ConfigError, WatermarkError};
-pub use scan::{ScanMode, Survivors};
+pub use scan::Survivors;

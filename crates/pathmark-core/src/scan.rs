@@ -1,10 +1,11 @@
-//! Columnar survivor tables for the two-phase window scan.
+//! Columnar survivor tables for the window scan.
 //!
-//! Phase one of recognition (`Recognizer::window_survivors`) reduces a
-//! trace bit-string to the *distinct* surviving 64-bit window values of
-//! a scan range; phase two decrypts each value once. [`Survivors`] is
-//! the currency between the phases: a sorted columnar table with one
-//! row per distinct value and three parallel columns —
+//! The first half of recognition's window scan (the streaming scanner in
+//! [`crate::scanner`]) reduces a trace bit-string to the *distinct*
+//! surviving 64-bit window values; the second half decrypts each value
+//! once. [`Survivors`] is the currency between the halves: a sorted
+//! columnar table with one row per distinct value and three parallel
+//! columns —
 //!
 //! * **values** — the distinct window values, strictly ascending;
 //! * **multiplicities** — how many scan offsets produced each value
@@ -14,67 +15,10 @@
 //!   observed in the range.
 //!
 //! The layout is deliberately struct-of-arrays rather than a vector of
-//! per-window structs: phase two streams the `values` column through
-//! the batched cipher ([`pathmark_crypto::Xtea::decrypt_batch`]) in
-//! contiguous lanes, and the sorted order makes shard merging a linear
-//! column merge. The discipline mirrors the sorted columnar execution
-//! tables of trace-based proof systems, and is the layout a GPU/offload
-//! backend would consume unchanged.
-//!
-//! Tables are **concatenable across shards**: disjoint scan ranges of
-//! one bit-string each produce a table, and [`Survivors::merge`] folds
-//! them into the table a single full-range scan would have produced
-//! (multiplicities sum, first offsets take the minimum) — the
-//! serial/sharded bit-identity the fleet's shard merge relies on.
-
-/// How a recognition session turns a traced program into a survivor
-/// table.
-///
-/// * [`ScanMode::Fused`] (the default) streams the window scan *into*
-///   the trace sink: the rolling window, both pre-rejects, and the
-///   survivor accumulation run as branch bits arrive, so the packed
-///   words are never re-walked by a second pass.
-/// * [`ScanMode::TwoPhase`] materializes the full [`crate::bitstring::BitString`]
-///   first and scans it afterwards — the property-tested oracle, and
-///   the only shape that supports sharded window ranges and
-///   pre-traced/attacked bit-strings.
-///
-/// The two modes are bit-identical: same [`Survivors`] table, same
-/// recognition (CI property-gates this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Stream the survivor scan inside the trace sink (one pass).
-    #[default]
-    Fused,
-    /// Trace to a full bit-string, then scan it (the oracle path).
-    TwoPhase,
-}
-
-impl ScanMode {
-    /// The wire name (`"fused"` / `"two-phase"`), as accepted by
-    /// [`ScanMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScanMode::Fused => "fused",
-            ScanMode::TwoPhase => "two-phase",
-        }
-    }
-
-    /// Parses a wire name; `None` for anything unknown.
-    pub fn parse(name: &str) -> Option<ScanMode> {
-        match name {
-            "fused" => Some(ScanMode::Fused),
-            "two-phase" => Some(ScanMode::TwoPhase),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ScanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+//! per-window structs: the decryption half streams the `values` column
+//! through the batched cipher ([`pathmark_crypto::Xtea::decrypt_batch`])
+//! in contiguous lanes, and the sorted order lets the session decode
+//! memo be merge-joined against it.
 
 /// A sorted columnar table of distinct surviving window values; see the
 /// module docs.
@@ -145,24 +89,6 @@ impl Survivors {
         table
     }
 
-    /// Folds shard tables (from disjoint scan ranges) into the table a
-    /// single full-range scan would produce: values from all shards,
-    /// multiplicities summed, first offsets minimized.
-    pub fn merge(shards: impl IntoIterator<Item = Survivors>) -> Survivors {
-        let mut entries: Vec<(u64, u64, u64)> = Vec::new();
-        for shard in shards {
-            entries.reserve(shard.len());
-            for i in 0..shard.len() {
-                entries.push((
-                    shard.values[i],
-                    shard.multiplicities[i],
-                    shard.first_offsets[i],
-                ));
-            }
-        }
-        Survivors::from_entries(entries)
-    }
-
     /// Number of distinct surviving values (table rows).
     pub fn len(&self) -> usize {
         self.values.len()
@@ -226,34 +152,5 @@ mod tests {
             table.iter().collect::<Vec<_>>(),
             vec![(10, 5, 90), (20, 3, 600), (30, 7, 40)]
         );
-    }
-
-    #[test]
-    fn merge_equals_single_table_of_all_entries() {
-        use pathmark_crypto::Prng;
-        let mut rng = Prng::from_seed(0x5CA2);
-        let entries: Vec<(u64, u64, u64)> = (0..400)
-            .map(|_| (rng.range(50), 1 + rng.range(4), rng.range(10_000)))
-            .collect();
-        let whole = Survivors::from_entries(entries.clone());
-        // Split into shards at random points; each shard builds its own
-        // table; merging must reproduce the whole-range table exactly.
-        for shards in [1usize, 2, 3, 7] {
-            let chunk = entries.len().div_ceil(shards);
-            let parts: Vec<Survivors> = entries
-                .chunks(chunk)
-                .map(|c| Survivors::from_entries(c.to_vec()))
-                .collect();
-            assert_eq!(Survivors::merge(parts), whole, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn empty_tables_merge_to_empty() {
-        let merged = Survivors::merge(vec![Survivors::new(), Survivors::default()]);
-        assert!(merged.is_empty());
-        assert_eq!(merged.len(), 0);
-        assert_eq!(merged.total_windows(), 0);
-        assert_eq!(merged, Survivors::from_entries(Vec::new()));
     }
 }

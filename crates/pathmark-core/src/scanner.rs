@@ -1,16 +1,18 @@
-//! The streaming (fused) window-scan engine.
+//! The window-scan engine: one scanner for traces in flight and stored.
 //!
-//! Recognition's two-phase shape — trace the program into a packed
-//! [`BitString`], then roll [`super::java::Recognizer::window_survivors`]
-//! over it — walks the packed words twice. [`StreamingScanSink`] fuses
-//! the phases: it *is* a [`TraceSink`], and as each branch bit lands in
-//! the builder it advances an incremental scanner over the completed
-//! words, so by the time the traced program halts the survivor table is
-//! already built and the bit-string is never re-read.
+//! Recognition rolls a 64-bit window over every offset of the trace
+//! bit-string. [`StreamingScanSink`] runs that scan *while tracing*: it
+//! is a [`TraceSink`], and as each branch bit lands in the builder it
+//! advances an incremental [`StreamScanner`] over the completed words,
+//! so by the time the traced program halts the survivor table is
+//! already built and the bit-string is never re-read. [`scan_range`]
+//! feeds the words of an already stored [`BitString`] through the same
+//! scanner in one call (`Recognizer::window_survivors`).
 //!
-//! The scanner is a small state machine that reproduces the two-phase
-//! scan decision-for-decision (the `fused_*` property tests and the CI
-//! gate assert the resulting [`Survivors`] table is bit-identical):
+//! The scanner is a small state machine whose every decision is exact,
+//! so its [`Survivors`] table is bit-identical to the naive scan that
+//! rolls a window over every offset (the `streamed_*` property tests and
+//! the CI gate assert this):
 //!
 //! * **Rolling** — classify window offsets while `offset + 64` bits are
 //!   available. Constant windows jump to the next flipped bit (possibly
@@ -19,22 +21,17 @@
 //!   dedup-at-source survivor accumulator; a verified probe hit
 //!   transitions to:
 //! * **Extending** — count streamed period matches until the first
-//!   mismatch. The forward `next_period_mismatch` call of the two-phase
-//!   scan needs the whole bit-string; streaming instead *resumes* the
-//!   shared [`period_mismatch_in_words`] kernel at the frontier each
-//!   time more words land, which visits exactly the same bits in the
-//!   same order. Lookback — the bulk-accounted representatives one
-//!   period before the run — is free, because those words were written
-//!   long before the run ended.
+//!   mismatch, resuming the word-parallel [`period_mismatch_in_words`]
+//!   kernel at the frontier each time more words land. Lookback — the
+//!   bulk-accounted representatives one period before the run — is
+//!   free, because those words were written long before the run ended.
 //!
 //! Equivalence argument, briefly (DESIGN.md §15 has the full version):
-//! every decision the two-phase scan makes at offset `o` reads only
-//! bits `≤ mismatch(o)`, and the streaming scanner defers that decision
-//! until those bits exist, so the classification of every offset — and
-//! hence the survivor multiset — is identical. The two-phase scan's
-//! `stop = (mismatch - 64).min(end - 1)` clamp is a no-op on full-range
-//! scans (`mismatch ≤ len ⇒ mismatch - 64 ≤ num_windows - 1`); it only
-//! bites on sharded sub-ranges, which stay on the two-phase path.
+//! a decision at offset `o` reads only bits `≤ mismatch(o)`, and the
+//! scanner defers that decision until those bits exist, so the
+//! classification of every offset — and hence the survivor multiset —
+//! is the same however the bits arrive, one drain at a time or all at
+//! once.
 //!
 //! Survivors dedup at source instead of accumulating a per-offset
 //! entry vector: the bench corpus produces ~12k surviving offsets but
@@ -106,7 +103,7 @@ const DRAIN_STRIDE_BITS: usize = 1024;
 /// extended with the [`period_mismatch_in_words`] kernel and, if the
 /// periodic run covers meaningfully more than one window, the whole
 /// run is bulk-accounted without rolling through it (see
-/// [`super::java::Recognizer::window_survivors`] and [`StreamScanner`]).
+/// [`StreamScanner`]).
 pub(crate) struct PeriodDetector {
     /// Direct-mapped `(window value, offset + 1)` slots; a zero stamp
     /// marks a vacant slot, and hash collisions simply overwrite.
@@ -170,34 +167,13 @@ impl PeriodDetector {
         }
     }
 
-    /// Returns a candidate period `p` verified at the scan head —
-    /// `window(offset - p)` exists within the `len` bits of `words` and
-    /// equals `window` — or `None`.
-    ///
-    /// The `hot` period (the one the scan last bulk-skipped on) is
-    /// probed on *every* push: a long periodic run interrupted by one
-    /// flipped bit re-engages immediately instead of rolling up to
-    /// [`PERIOD_PROBE_STRIDE`] more windows. The full candidate set is
-    /// only probed every stride-th push.
-    pub(crate) fn probe(
-        &self,
-        words: &[u64],
-        len: usize,
-        offset: usize,
-        window: u64,
-        hot: usize,
-    ) -> Option<usize> {
-        if hot != 0 && offset >= hot && window_from_words(words, len, offset - hot) == Some(window)
-        {
-            return Some(hot);
-        }
-        self.probe_candidates(words, len, offset, window, hot)
-    }
-
-    /// The non-hot half of [`Self::probe`]: the seated candidates,
-    /// stride-gated. The streaming scanner calls this directly because
-    /// it tracks the hot period with a rolled lag window (a register
-    /// compare) instead of re-reading the packed words every push.
+    /// Returns a seated candidate period `p` other than `hot` verified
+    /// at the scan head — `window(offset - p)` exists within the `len`
+    /// bits of `words` and equals `window` — or `None`. Only every
+    /// [`PERIOD_PROBE_STRIDE`]-th push probes; the `hot` period (the
+    /// one the scan last bulk-skipped on) is the scanner's own check,
+    /// made on every push against a rolled lag window (a register
+    /// compare) instead of re-reading the packed words.
     pub(crate) fn probe_candidates(
         &self,
         words: &[u64],
@@ -225,16 +201,18 @@ enum ScanState {
     Extending { period: usize, q: usize },
 }
 
-/// The incremental survivor scan: the two-phase
-/// [`super::java::Recognizer::window_survivors`] loop restructured to
-/// make progress from whatever prefix of the bit-string exists, deferring
-/// any decision whose bits have not been written yet.
+/// The incremental survivor scan: makes progress from whatever prefix
+/// of the bit-string exists, deferring any decision whose bits have not
+/// been written yet.
 struct StreamScanner {
     detector: PeriodDetector,
     /// The period the scan last bulk-skipped on; probed eagerly.
     hot: usize,
     /// The next window offset to classify.
     offset: usize,
+    /// One past the last window offset to classify (`usize::MAX`: to
+    /// the end of the string).
+    end: usize,
     /// The 64-bit window at `offset`, when `window_valid`; rolled
     /// bit-by-bit on the normal path, recomputed from the words after a
     /// jump or a drain boundary.
@@ -256,11 +234,13 @@ struct StreamScanner {
 }
 
 impl StreamScanner {
-    fn new() -> StreamScanner {
+    /// A scanner over the window offsets `[start, end)`.
+    fn new(start: usize, end: usize) -> StreamScanner {
         StreamScanner {
             detector: PeriodDetector::new(),
             hot: 0,
-            offset: 0,
+            offset: start,
+            end,
             window: 0,
             window_valid: false,
             state: ScanState::Rolling,
@@ -331,8 +311,13 @@ impl StreamScanner {
     /// `window` through memory, since it runs a few hundred thousand
     /// times per recognized copy.
     fn advance(&mut self, words: &[u64], avail: usize, finished: bool) {
-        // Window offsets past this never exist; unknowable mid-stream.
-        let end = if finished { avail.saturating_sub(63) } else { usize::MAX };
+        // Window offsets past `avail - 63` never exist; unknowable
+        // mid-stream.
+        let end = if finished {
+            avail.saturating_sub(63).min(self.end)
+        } else {
+            self.end
+        };
         loop {
             if let ScanState::Extending { period, q } = self.state {
                 let mismatch = period_mismatch_in_words(words, avail, q, period);
@@ -352,7 +337,7 @@ impl StreamScanner {
                     // frontier, so the lookback reads are free.
                     // Constant representatives are dropped — their
                     // copies are equally constant.
-                    let stop = mismatch - 64;
+                    let stop = (mismatch - 64).min(end - 1);
                     for r in origin - period..origin {
                         let value = window_from_words(words, avail, r)
                             .expect("r + 64 <= origin + 64 <= avail");
@@ -370,8 +355,8 @@ impl StreamScanner {
                     self.window_valid = false;
                 } else {
                     // The run is too short to engage; the origin
-                    // window survives normally (the two-phase scan's
-                    // fall-through — one candidate tried per offset).
+                    // window survives normally (one candidate tried
+                    // per offset).
                     self.push_survivor(words, avail);
                 }
                 self.state = ScanState::Rolling;
@@ -404,7 +389,7 @@ impl StreamScanner {
                         // The run reaches the frontier: skip every
                         // window already fully inside it and wait.
                         // Re-checking the (still constant) window on
-                        // resume re-joins the two-phase jump exactly.
+                        // resume re-joins the whole-string jump exactly.
                         let next = (avail - 63).max(offset + 1);
                         skipped += (next - offset) as u64;
                         self.offset = next;
@@ -498,8 +483,8 @@ pub struct FusedScan {
     /// The full trace bit-string (identical to what
     /// [`crate::bitstring::PackedTraceSink`] would have produced).
     pub bits: BitString,
-    /// The survivor table (bit-identical to the two-phase
-    /// `window_survivors` over the full range).
+    /// The survivor table (bit-identical to `window_survivors` over
+    /// the full range of `bits`).
     pub survivors: Survivors,
     /// Windows the scan covered (`num_windows`).
     pub scanned: u64,
@@ -510,9 +495,8 @@ pub struct FusedScan {
     pub roll_nanos: u64,
 }
 
-/// A [`TraceSink`] that runs the full survivor scan *while tracing*:
-/// the fused `ScanMode` path. See the module docs for the design and
-/// the equivalence argument.
+/// A [`TraceSink`] that runs the full survivor scan *while tracing*.
+/// See the module docs for the design and the equivalence argument.
 pub struct StreamingScanSink {
     follow: FirstFollow,
     bits: BitStringBuilder,
@@ -532,7 +516,7 @@ impl StreamingScanSink {
         StreamingScanSink {
             follow: FirstFollow::for_program(program),
             bits: BitStringBuilder::new(),
-            scanner: StreamScanner::new(),
+            scanner: StreamScanner::new(0, usize::MAX),
             timed,
             roll_nanos: 0,
         }
@@ -544,7 +528,7 @@ impl StreamingScanSink {
         StreamingScanSink {
             follow: FirstFollow::new(),
             bits: BitStringBuilder::new(),
-            scanner: StreamScanner::new(),
+            scanner: StreamScanner::new(0, usize::MAX),
             timed,
             roll_nanos: 0,
         }
@@ -585,6 +569,17 @@ impl StreamingScanSink {
         }
         FusedScan { bits, survivors, scanned, skipped, roll_nanos }
     }
+}
+
+/// Scans the windows at offsets `[start, end)` of a stored bit-string
+/// (`start <= end <= bits.num_windows()`) by feeding its words through
+/// the streaming scanner in one final drain. Returns the survivor table
+/// and the windows the pre-rejects accounted without rolling.
+pub(crate) fn scan_range(bits: &BitString, start: usize, end: usize) -> (Survivors, u64) {
+    let mut scanner = StreamScanner::new(start, end);
+    scanner.advance(bits.words(), bits.len(), true);
+    let skipped = scanner.skipped;
+    (scanner.into_survivors(), skipped)
 }
 
 impl TraceSink for StreamingScanSink {

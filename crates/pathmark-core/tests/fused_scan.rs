@@ -1,19 +1,25 @@
-//! Randomized-property suite for the fused streaming scan: across 150
-//! generated programs (the same deterministic xorshift generator the
-//! stackvm suite uses — no external property-testing crates) and all
-//! three execution tiers, the fused trace→scan pipeline must reproduce
-//! the two-phase reference **bit for bit**: the same trace bit-string,
-//! the same survivor table (values, multiplicities, first offsets), and
-//! the same recognition. A slice of the programs is watermarked first so
-//! the suite also covers survivor-dense traces where the periodic
-//! pre-reject engages.
+//! Randomized-property suite for the shipped recognition path: across
+//! 150 generated programs (the same deterministic xorshift generator the
+//! stackvm suite uses — no external property-testing crates), the
+//! compiled tracer plus the streaming scan must reproduce the two-phase
+//! reference path **bit for bit** — the reference interpreter's trace,
+//! decoded to a bit-string, scanned by rolling a window over every
+//! offset: the same trace bit-string, the same survivor table (values,
+//! multiplicities, first offsets), and the same recognition. Under full
+//! tracing the compiled tracer's block, branch and snapshot events must
+//! equal the reference interpreter's too. A slice of the programs is
+//! watermarked first so the suite also covers survivor-dense traces
+//! where the periodic pre-reject engages.
 
+use pathmark_core::bitstring::BitString;
 use pathmark_core::java::{Embedder, JavaConfig, Recognizer};
 use pathmark_core::key::{Watermark, WatermarkKey};
-use pathmark_core::ScanMode;
+use pathmark_core::Survivors;
 use stackvm::builder::{FunctionBuilder, ProgramBuilder};
 use stackvm::insn::{BinOp, Cond};
-use stackvm::{ExecTier, Program};
+use stackvm::interp::Vm;
+use stackvm::trace::TraceConfig;
+use stackvm::Program;
 
 /// A small deterministic generator state (verification-friendly: all
 /// branches are forward, so every generated program terminates).
@@ -93,6 +99,16 @@ fn generate(seed: u64) -> Program {
 
 const CASES: u64 = 150;
 
+/// The naive scan: roll a window over every offset, drop constants,
+/// tally multiplicities and first offsets.
+fn reference_survivors(bits: &BitString) -> Survivors {
+    let entries = (0..bits.num_windows())
+        .map(|offset| (bits.window_u64(offset).unwrap(), 1, offset as u64))
+        .filter(|&(window, _, _)| window != 0 && window != u64::MAX)
+        .collect();
+    Survivors::from_entries(entries)
+}
+
 #[test]
 fn fused_scan_matches_two_phase_on_generated_programs() {
     let key = WatermarkKey::new(0x5CA7, vec![2, 1, 3]);
@@ -100,34 +116,30 @@ fn fused_scan_matches_two_phase_on_generated_programs() {
     let embedder = Embedder::builder(key.clone(), config.clone())
         .build()
         .unwrap();
-    // One warm session pair per tier, shared across all programs, so
-    // the key-derived crypto is not re-derived 900 times.
-    let tiers = [ExecTier::Reference, ExecTier::Predecoded, ExecTier::Compiled];
-    let sessions: Vec<(Recognizer, Recognizer)> = tiers
-        .iter()
-        .map(|&tier| {
-            let fused = Recognizer::builder(key.clone(), config.clone())
-                .exec_tier(tier)
-                .build()
-                .unwrap();
-            let two_phase = Recognizer::builder(key.clone(), config.clone())
-                .exec_tier(tier)
-                .scan_mode(ScanMode::TwoPhase)
-                .build()
-                .unwrap();
-            assert_eq!(fused.scan_mode(), ScanMode::Fused);
-            assert_eq!(two_phase.scan_mode(), ScanMode::TwoPhase);
-            (fused, two_phase)
-        })
-        .collect();
+    // One warm session shared across all programs, so the key-derived
+    // crypto is not re-derived per program.
+    let session = Recognizer::builder(key.clone(), config.clone())
+        .build()
+        .unwrap();
+    let full_configs = [
+        TraceConfig::full(),
+        TraceConfig {
+            snapshot_limit: 1,
+            ..TraceConfig::full()
+        },
+        TraceConfig {
+            snapshot_limit: 0,
+            branches: false,
+            ..TraceConfig::full()
+        },
+    ];
 
     let mut marked_cases = 0usize;
-    let mut recognized = 0usize;
     for case in 0..CASES {
         let seed = Gen::new(case).next();
         let mut program = generate(seed);
         // Watermark every fifth program: marked traces are where the
-        // periodic pre-reject actually engages, so the fused scan's
+        // periodic pre-reject actually engages, so the scan's
         // run-extension machinery gets exercised, not just its
         // random-window fall-through.
         let mut expected = None;
@@ -138,35 +150,45 @@ fn fused_scan_matches_two_phase_on_generated_programs() {
             expected = Some(watermark);
             marked_cases += 1;
         }
+        let vm = |trace: TraceConfig| {
+            Vm::new(&program)
+                .with_input(key.input.clone())
+                .with_budget(config.trace_budget)
+                .with_trace(trace)
+        };
 
-        for (tier, (fused, two_phase)) in tiers.iter().zip(&sessions) {
-            // The materialized trace and the survivor table must be
-            // bit-identical between the streaming and two-phase scans.
-            let scan = fused.trace_survivors(&program).expect("fused trace");
-            let bits = two_phase.trace_bits(&program).expect("two-phase trace");
-            assert_eq!(scan.bits, bits, "seed {seed}, {tier} tier: trace bits");
+        // The shipped path against the two-phase reference path: the
+        // trace bit-string and the survivor table must be bit-identical.
+        let scan = session.trace_survivors(&program).expect("fused trace");
+        let traced = vm(TraceConfig::branches_only())
+            .run_reference()
+            .expect("reference trace");
+        let bits = BitString::from_trace(&traced.trace);
+        let survivors = reference_survivors(&bits);
+        assert_eq!(scan.bits, bits, "seed {seed}: trace bits");
+        assert_eq!(scan.survivors, survivors, "seed {seed}: survivor table");
+        assert_eq!(scan.scanned, bits.num_windows() as u64, "seed {seed}");
+        assert!(scan.skipped <= scan.scanned, "seed {seed}");
+
+        // And so must the recognition built on top of them.
+        let shipped = session.recognize(&program).expect("recognize");
+        let counts = session
+            .candidates_from_survivors(&survivors)
+            .expect("decrypt");
+        let reference = session.recognize_from_candidates(counts).expect("combine");
+        assert_eq!(shipped, reference, "seed {seed}: recognition");
+        if let Some(watermark) = &expected {
+            assert_eq!(shipped.watermark.as_ref(), Some(watermark.value()), "seed {seed}");
+        }
+
+        // Full tracing: blocks, branches and capped snapshots.
+        for trace in full_configs {
             assert_eq!(
-                scan.survivors,
-                two_phase.window_survivors(&bits, 0, usize::MAX),
-                "seed {seed}, {tier} tier: survivor table"
+                vm(trace).run(),
+                vm(trace).run_reference(),
+                "seed {seed}: {trace:?}"
             );
-            assert_eq!(scan.scanned, bits.num_windows() as u64, "seed {seed}");
-            assert!(scan.skipped <= scan.scanned, "seed {seed}");
-
-            // And so must the recognition built on top of them.
-            let a = fused.recognize(&program).expect("fused recognize");
-            let b = two_phase.recognize(&program).expect("two-phase recognize");
-            assert_eq!(a, b, "seed {seed}, {tier} tier: recognition");
-            if let Some(watermark) = &expected {
-                assert_eq!(
-                    a.watermark.as_ref(),
-                    Some(watermark.value()),
-                    "seed {seed}, {tier} tier"
-                );
-                recognized += 1;
-            }
         }
     }
     assert_eq!(marked_cases, 30, "every fifth case is watermarked");
-    assert_eq!(recognized, marked_cases * tiers.len());
 }

@@ -7,9 +7,7 @@
 //! [`Embedder::embed_with_trace`] under a per-copy session derived with
 //! [`Embedder::with_key`] (same config and telemetry sink, per-copy
 //! key). **Recognition** of a batch parallelizes across copies: each
-//! copy is re-traced and recognized independently (the per-copy work is
-//! already one job; sharded recognition — [`crate::shard`] — is for
-//! splitting a *single* large copy instead).
+//! copy is re-traced and recognized independently, as one job.
 //!
 //! Per-job failures (bad manifest hex, embedding errors, panics) are
 //! captured in the job's [`JobReport`] and never abort the rest of the

@@ -15,11 +15,6 @@
 //!   input) and shares the immutable trace across all N embed jobs via
 //!   [`std::sync::Arc`]. Tracing is the only embedding step that
 //!   executes the program, so this turns N traced runs into one.
-//! * [`shard`] — sharded recognition: the traced bit-string is split
-//!   into overlapping 64-bit-window chunks scanned in parallel; the
-//!   candidate multisets are merged before voting and GCRT
-//!   recombination, producing output bit-identical to the serial
-//!   recognizer.
 //! * [`manifest`] — the JSONL batch manifest/report format
 //!   (`job_id`, `watermark_hex`, `seed`, `status`, `attempts`,
 //!   `wall_ms`), written with the workspace's hand-rolled codec idioms
@@ -106,4 +101,3 @@ pub mod json;
 pub mod manifest;
 pub mod pool;
 pub mod retry;
-pub mod shard;

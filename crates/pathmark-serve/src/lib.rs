@@ -5,8 +5,7 @@
 //! and throw the warm state away at exit. This crate keeps that state
 //! resident: a [`server::Server`] hosts long-lived embed/recognize
 //! sessions behind a line-oriented JSONL protocol ([`protocol`]) over
-//! stdin/stdout, a unix-domain socket, or (behind the `tcp` feature)
-//! a TCP listener, with
+//! stdin/stdout or a unix-domain socket, with
 //!
 //! * a warm session [`registry`] keyed per tenant watermark key, with
 //!   per-key isolation and warm per-copy recognize sessions;

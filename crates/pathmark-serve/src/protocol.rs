@@ -30,10 +30,8 @@
 
 use std::collections::HashMap;
 
-use pathmark_core::ScanMode;
 use pathmark_fleet::json::{parse_object, write_object, Scalar};
 use pathmark_fleet::manifest::{EmbedJobSpec, JobReport};
-use stackvm::ExecTier;
 
 /// Which journal/report stream a job belongs to. Part of the journal
 /// dedup key: one `job_id` may legally appear once per op (embed a copy,
@@ -72,13 +70,6 @@ pub struct OpenRequest {
     /// Decode-cache ceiling for the tenant's sessions; `None` takes
     /// [`pathmark_core::java::DEFAULT_DECODE_CACHE_CAP`].
     pub cache_cap: Option<usize>,
-    /// Execution tier for the tenant's tracer (`"reference"` /
-    /// `"predecoded"` / `"compiled"`); `None` takes the stackvm default
-    /// (compiled).
-    pub tier: Option<ExecTier>,
-    /// Scan strategy for the tenant's recognizer (`"fused"` /
-    /// `"two-phase"`); `None` takes the default (fused).
-    pub scan_mode: Option<ScanMode>,
 }
 
 /// `{"op":"embed", …}` — fingerprint one copy of a host program.
@@ -207,20 +198,6 @@ impl Request {
                 bits: req_u64(&fields, "bits")? as usize,
                 pieces: opt_u64(&fields, "pieces")?.map(|n| n as usize),
                 cache_cap: opt_u64(&fields, "cache_cap")?.map(|n| n as usize),
-                tier: match opt_str(&fields, "tier")? {
-                    None => None,
-                    Some(name) => Some(
-                        ExecTier::parse(&name)
-                            .ok_or_else(|| format!("unknown `tier` `{name}`"))?,
-                    ),
-                },
-                scan_mode: match opt_str(&fields, "scan_mode")? {
-                    None => None,
-                    Some(name) => Some(
-                        ScanMode::parse(&name)
-                            .ok_or_else(|| format!("unknown `scan_mode` `{name}`"))?,
-                    ),
-                },
             })),
             "embed" => Ok(Request::Embed(EmbedRequest {
                 tenant: req_str(&fields, "tenant")?,
@@ -256,12 +233,6 @@ impl OpenRequest {
         }
         if let Some(cap) = self.cache_cap {
             fields.push(("cache_cap", Scalar::Num(cap as u64)));
-        }
-        if let Some(tier) = self.tier {
-            fields.push(("tier", Scalar::Str(tier.as_str().into())));
-        }
-        if let Some(mode) = self.scan_mode {
-            fields.push(("scan_mode", Scalar::Str(mode.as_str().into())));
         }
         write_object(&fields)
     }
@@ -471,8 +442,6 @@ mod tests {
             bits: 64,
             pieces: Some(12),
             cache_cap: Some(4096),
-            tier: Some(ExecTier::Predecoded),
-            scan_mode: Some(ScanMode::TwoPhase),
         };
         assert_eq!(Request::parse(&req.to_line()), Ok(Request::Open(req)));
         // Optional fields stay optional.
@@ -482,18 +451,14 @@ mod tests {
                 assert_eq!(req.input, vec![5]);
                 assert_eq!(req.pieces, None);
                 assert_eq!(req.cache_cap, None);
-                assert_eq!(req.tier, None);
-                assert_eq!(req.scan_mode, None);
             }
             other => panic!("{other:?}"),
         }
-        // A bogus tier is a parse error, not a silent default.
-        let line =
-            "{\"op\":\"open\",\"tenant\":\"t\",\"seed\":1,\"input\":\"5\",\"bits\":64,\"tier\":\"jit\"}";
-        assert!(Request::parse(line).unwrap_err().contains("tier"));
-        // Likewise a bogus scan mode.
-        let line = "{\"op\":\"open\",\"tenant\":\"t\",\"seed\":1,\"input\":\"5\",\"bits\":64,\"scan_mode\":\"triple\"}";
-        assert!(Request::parse(line).unwrap_err().contains("scan_mode"));
+        // The engine selectors of older clients are unknown fields now,
+        // ignored like any other: the open parses as if they were absent.
+        let line = "{\"op\":\"open\",\"tenant\":\"t\",\"seed\":1,\"input\":\"5\",\"bits\":64,\"tier\":\"predecoded\",\"scan_mode\":\"two-phase\"}";
+        let plain = "{\"op\":\"open\",\"tenant\":\"t\",\"seed\":1,\"input\":\"5\",\"bits\":64}";
+        assert_eq!(Request::parse(line), Request::parse(plain));
     }
 
     #[test]

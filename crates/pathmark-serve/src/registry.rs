@@ -138,16 +138,12 @@ impl Registry {
         let pieces = request.pieces.unwrap_or(base.num_pieces);
         let config = base.with_pieces(pieces);
         let cap = request.cache_cap.unwrap_or(DEFAULT_DECODE_CACHE_CAP);
-        let tier = request.tier.unwrap_or_default();
-        let scan_mode = request.scan_mode.unwrap_or_default();
 
         let mut tenants = lock(&self.tenants);
         if let Some(tenant) = tenants.get(&request.tenant) {
             if tenant.embedder.key() == &key
                 && tenant.embedder.config() == &config
                 && tenant.embedder.decode_cache_cap() == cap
-                && tenant.embedder.exec_tier() == tier
-                && tenant.recognizer.scan_mode() == scan_mode
             {
                 self.telemetry.count(Counter::SessionHit, 1);
                 return Ok((Arc::clone(tenant), true));
@@ -157,15 +153,11 @@ impl Registry {
         let embedder = Embedder::builder(key.clone(), config.clone())
             .telemetry(self.telemetry.clone())
             .decode_cache_cap(cap)
-            .exec_tier(tier)
-            .scan_mode(scan_mode)
             .build()
             .map_err(|e| e.to_string())?;
         let recognizer = Recognizer::builder(key, config)
             .telemetry(self.telemetry.clone())
             .decode_cache_cap(cap)
-            .exec_tier(tier)
-            .scan_mode(scan_mode)
             .build()
             .map_err(|e| e.to_string())?;
         let tenant = Arc::new(Tenant {
@@ -207,9 +199,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathmark_core::ScanMode;
     use pathmark_telemetry::MemorySink;
-    use stackvm::ExecTier;
 
     fn open_request(tenant: &str, seed: u64) -> OpenRequest {
         OpenRequest {
@@ -219,8 +209,6 @@ mod tests {
             bits: 64,
             pieces: Some(12),
             cache_cap: None,
-            tier: None,
-            scan_mode: None,
         }
     }
 
@@ -240,35 +228,18 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &third));
         assert_eq!(registry.count(), 1, "replaced, not duplicated");
 
-        // The execution tier is part of the warm-hit identity: the
-        // default request resolved to the compiled tier, so asking for
-        // the predecoded engine rebuilds the sessions.
-        let mut retier = open_request("acme", 8);
-        retier.tier = Some(ExecTier::Predecoded);
-        let (fourth, warm) = registry.open(&retier).unwrap();
-        assert!(!warm, "a re-tiered tenant rebuilds");
+        // The decode-cache ceiling is part of the warm-hit identity.
+        let mut recap = open_request("acme", 8);
+        recap.cache_cap = Some(64);
+        let (fourth, warm) = registry.open(&recap).unwrap();
+        assert!(!warm, "a re-capped tenant rebuilds");
         assert!(!Arc::ptr_eq(&third, &fourth));
-        assert_eq!(fourth.recognizer.exec_tier(), ExecTier::Predecoded);
-        // Per-copy sessions inherit the tenant's tier via `with_key`.
-        assert_eq!(
-            fourth.recognizer_for(42).exec_tier(),
-            ExecTier::Predecoded
-        );
-
-        // The scan mode is likewise part of the warm-hit identity: the
-        // default request resolved to the fused scan, so asking for the
-        // two-phase scan rebuilds the sessions — and per-copy sessions
-        // inherit the tenant's mode via `with_key`.
-        let mut remode = retier.clone();
-        remode.scan_mode = Some(ScanMode::TwoPhase);
-        let (fifth, warm) = registry.open(&remode).unwrap();
-        assert!(!warm, "a re-scan-moded tenant rebuilds");
-        assert!(!Arc::ptr_eq(&fourth, &fifth));
-        assert_eq!(fifth.recognizer.scan_mode(), ScanMode::TwoPhase);
-        assert_eq!(fifth.recognizer_for(42).scan_mode(), ScanMode::TwoPhase);
-        let (again, warm) = registry.open(&remode).unwrap();
+        assert_eq!(fourth.recognizer.decode_cache_cap(), 64);
+        // Per-copy sessions inherit the tenant's cap via `with_key`.
+        assert_eq!(fourth.recognizer_for(42).decode_cache_cap(), 64);
+        let (again, warm) = registry.open(&recap).unwrap();
         assert!(warm, "an identical re-open is a warm hit");
-        assert!(Arc::ptr_eq(&fifth, &again));
+        assert!(Arc::ptr_eq(&fourth, &again));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! One [`Server`] owns the warm [`Registry`], the fleet [`WorkerPool`]
 //! and [`TraceCache`], the [`AdmissionGate`], and the write-ahead
 //! [`Journal`]. Request lines arrive from a transport —
-//! [`Server::serve_stdio`], [`Server::serve_unix`], or (behind the
-//! `tcp` feature) `Server::serve_tcp` — and dispatch on that
-//! connection's thread; accepted jobs run on the pool and stream their
+//! [`Server::serve_stdio`] or [`Server::serve_unix`] — and dispatch on
+//! that connection's thread; accepted jobs run on the pool and stream their
 //! responses back in completion order (responses carry `job_id`, so
 //! clients correlate). The per-job execution kernels are the *same*
 //! functions the batch engine runs ([`embed_one`] / [`recognize_one`]),
@@ -14,7 +13,7 @@
 //!
 //! Concurrency model:
 //!
-//! * The socket transports accept **one thread per connection**,
+//! * The socket transport accepts **one thread per connection**,
 //!   bounded by [`ServeOptions::max_connections`] (excess connections
 //!   wait in the kernel backlog). Each connection gets its own
 //!   [`SharedWriter`] and its own [`ConnectionInflight`] scope, so a
@@ -46,7 +45,7 @@
 //!   connections, exit.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -362,42 +361,24 @@ impl Server {
             }
         }
         let listener = UnixListener::bind(socket)?;
-        let result = self.accept_loop(&listener);
+        let result = self.accept_loop(&listener, socket);
         let _ = std::fs::remove_file(socket);
         result
     }
 
-    /// Serves a TCP address (e.g. `127.0.0.1:7700`) with the same
-    /// connection handling as the unix transport. TCP has no peer
-    /// credentials: bind to loopback or front it with real transport
-    /// security before exposing tenant keys to a network.
-    ///
-    /// # Errors
-    ///
-    /// Bind/accept errors.
-    #[cfg(feature = "tcp")]
-    pub fn serve_tcp(&self, addr: &str) -> std::io::Result<()> {
-        self.serve_tcp_listener(std::net::TcpListener::bind(addr)?)
-    }
-
-    /// Serves an already-bound TCP listener — the testable half of
-    /// [`Server::serve_tcp`] (bind port 0, read the real port back).
-    ///
-    /// # Errors
-    ///
-    /// Accept errors.
-    #[cfg(feature = "tcp")]
-    pub fn serve_tcp_listener(&self, listener: std::net::TcpListener) -> std::io::Result<()> {
-        self.accept_loop(&listener)
-    }
-
-    /// The transport-agnostic accept loop: one thread per connection
-    /// under the connection cap, a shared table of open streams so
-    /// shutdown can sever lingerers, and a self-connect wake so the
-    /// blocking `accept` notices shutdown promptly.
-    fn accept_loop<L: ConnListener>(&self, listener: &L) -> std::io::Result<()> {
+    /// The accept loop: one thread per connection under the connection
+    /// cap, a shared table of open streams so shutdown can sever
+    /// lingerers, and a self-connect wake so the blocking `accept`
+    /// notices shutdown promptly.
+    #[cfg(unix)]
+    fn accept_loop(
+        &self,
+        listener: &std::os::unix::net::UnixListener,
+        socket: &Path,
+    ) -> std::io::Result<()> {
+        use std::os::unix::net::UnixStream;
         let shutting = AtomicBool::new(false);
-        let open: Mutex<HashMap<u64, L::Stream>> = Mutex::new(HashMap::new());
+        let open: Mutex<HashMap<u64, UnixStream>> = Mutex::new(HashMap::new());
         let slots = ConnSlots::new(self.max_connections);
         std::thread::scope(|scope| {
             let mut next_id: u64 = 0;
@@ -410,8 +391,8 @@ impl Server {
                     slots.release();
                     break Ok(());
                 }
-                let stream = match listener.accept_stream() {
-                    Ok(stream) => stream,
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
                     Err(e) => {
                         slots.release();
                         if shutting.load(Ordering::SeqCst) {
@@ -426,8 +407,10 @@ impl Server {
                     slots.release();
                     break Ok(());
                 }
-                let (reader, handle) = match stream.split().and_then(|r| {
-                    let h = stream.split()?;
+                // An independently owned read half, and a handle
+                // shutdown can sever to unblock a lingering read.
+                let (reader, handle) = match stream.try_clone().and_then(|r| {
+                    let h = stream.try_clone()?;
                     Ok((r, h))
                 }) {
                     Ok(pair) => pair,
@@ -449,9 +432,10 @@ impl Server {
                         Ok(true) => {
                             // This client asked for shutdown (already
                             // drained + finalized): stop accepting and
-                            // kick the blocked accept.
+                            // connect to self to kick the blocked
+                            // accept.
                             shutting.store(true, Ordering::SeqCst);
-                            listener.wake();
+                            let _ = UnixStream::connect(socket);
                         }
                         Ok(false) => {}
                         Err(e) => eprintln!("serve: connection failed: {e}"),
@@ -465,7 +449,7 @@ impl Server {
             // a client that never hangs up. Their jobs are already
             // settled (shutdown drained the gate) or journaled.
             for (_, stream) in lock(&open).drain() {
-                stream.sever();
+                let _ = stream.shutdown(std::net::Shutdown::Both);
             }
             result
         })
@@ -800,80 +784,6 @@ impl ConnSlots {
     fn release(&self) {
         *lock(&self.count) -= 1;
         self.changed.notify_all();
-    }
-}
-
-/// A byte-stream connection both socket transports speak: cloneable
-/// into an independently-owned read half, and severable so shutdown can
-/// unblock a lingering client's read.
-trait ConnStream: Read + Write + Send + Sized + 'static {
-    /// Another handle to the same underlying connection.
-    fn split(&self) -> std::io::Result<Self>;
-    /// Tears the connection down, unblocking any thread reading it.
-    fn sever(&self);
-}
-
-#[cfg(unix)]
-impl ConnStream for std::os::unix::net::UnixStream {
-    fn split(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-
-    fn sever(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-#[cfg(feature = "tcp")]
-impl ConnStream for std::net::TcpStream {
-    fn split(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-
-    fn sever(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// A listener the accept loop can block on and be woken from.
-trait ConnListener: Sync {
-    type Stream: ConnStream;
-    /// Blocks for the next connection.
-    fn accept_stream(&self) -> std::io::Result<Self::Stream>;
-    /// Connects to self so a blocked `accept_stream` returns and
-    /// re-checks the shutdown flag.
-    fn wake(&self);
-}
-
-#[cfg(unix)]
-impl ConnListener for std::os::unix::net::UnixListener {
-    type Stream = std::os::unix::net::UnixStream;
-
-    fn accept_stream(&self) -> std::io::Result<Self::Stream> {
-        self.accept().map(|(stream, _)| stream)
-    }
-
-    fn wake(&self) {
-        if let Ok(addr) = self.local_addr() {
-            if let Some(path) = addr.as_pathname() {
-                let _ = std::os::unix::net::UnixStream::connect(path);
-            }
-        }
-    }
-}
-
-#[cfg(feature = "tcp")]
-impl ConnListener for std::net::TcpListener {
-    type Stream = std::net::TcpStream;
-
-    fn accept_stream(&self) -> std::io::Result<Self::Stream> {
-        self.accept().map(|(stream, _)| stream)
-    }
-
-    fn wake(&self) {
-        if let Ok(addr) = self.local_addr() {
-            let _ = std::net::TcpStream::connect(addr);
-        }
     }
 }
 

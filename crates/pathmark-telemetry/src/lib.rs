@@ -7,7 +7,7 @@
 //! alone (the workspace is offline):
 //!
 //! * [`Stage`] / [`Counter`] — the fixed vocabulary of pipeline spans
-//!   (trace, encrypt, codegen, scan, vote, merge, …) and event counters
+//!   (trace, encrypt, codegen, scan, vote, crt, …) and event counters
 //!   (cache hit/miss, pool panics, …);
 //! * [`Sink`] — the pluggable backend trait, with three provided
 //!   implementations: the no-op [`NullSink`], the aggregating
@@ -78,8 +78,6 @@ pub enum Stage {
     Graph,
     /// Generalized CRT recombination of the survivors.
     Crt,
-    /// Merging per-shard candidate multisets.
-    Merge,
     /// Time a fleet job spent queued before a worker picked it up.
     QueueWait,
     /// Wall-clock time of one fleet job on its worker.
@@ -93,7 +91,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in a fixed order (the [`MemorySink`] slot order).
-    pub const ALL: [Stage; 15] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Trace,
         Stage::Split,
         Stage::Encrypt,
@@ -104,7 +102,6 @@ impl Stage {
         Stage::Vote,
         Stage::Graph,
         Stage::Crt,
-        Stage::Merge,
         Stage::QueueWait,
         Stage::JobRun,
         Stage::Backoff,
@@ -124,7 +121,6 @@ impl Stage {
             Stage::Vote => "vote",
             Stage::Graph => "graph",
             Stage::Crt => "crt",
-            Stage::Merge => "merge",
             Stage::QueueWait => "queue_wait",
             Stage::JobRun => "job_run",
             Stage::Backoff => "backoff",
@@ -200,15 +196,11 @@ pub enum Counter {
     /// into the compacted report segment and the `.partial` sidecar
     /// truncated.
     ReportRotation,
-    /// Runs where the compiled execution tier was selected but the
-    /// predecoded engine ran instead (program over the compile budget,
-    /// or the trace configuration needs block/snapshot recording).
-    CompileFallback,
 }
 
 impl Counter {
     /// Every counter, in a fixed order (the [`MemorySink`] slot order).
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 22] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::PoolPanic,
@@ -231,7 +223,6 @@ impl Counter {
         Counter::SessionMiss,
         Counter::JournalRotation,
         Counter::ReportRotation,
-        Counter::CompileFallback,
     ];
 
     /// The counter's wire name.
@@ -259,7 +250,6 @@ impl Counter {
             Counter::SessionMiss => "session_miss",
             Counter::JournalRotation => "journal_rotation",
             Counter::ReportRotation => "report_rotation",
-            Counter::CompileFallback => "compile_fallback",
         }
     }
 
@@ -278,8 +268,8 @@ impl fmt::Display for Counter {
 /// The handle the pipeline carries: either disabled (the default) or
 /// backed by a shared [`Sink`].
 ///
-/// Cloning is cheap (an `Option<Arc>`), so every session, worker, and
-/// shard can hold its own handle onto one sink. When disabled, no
+/// Cloning is cheap (an `Option<Arc>`), so every session and worker can
+/// hold its own handle onto one sink. When disabled, no
 /// clock is read and no sink method is called.
 #[derive(Clone, Default)]
 pub struct Telemetry {
@@ -408,7 +398,7 @@ mod tests {
         assert!(!t.enabled());
         assert_eq!(t.time(Stage::ScanRoll, || 7), 7);
         t.count(Counter::CacheHit, 3);
-        t.record(Stage::Merge, 1000);
+        t.record(Stage::Crt, 1000);
         drop(t.start(Stage::Vote));
         t.flush();
     }
@@ -422,12 +412,12 @@ mod tests {
         {
             let _guard = t.start(Stage::Vote);
         }
-        t.record(Stage::Merge, 2_500);
+        t.record(Stage::Crt, 2_500);
         t.count(Counter::PoolPanic, 2);
         assert_eq!(sink.stage(Stage::ScanDecrypt).count, 1);
         assert_eq!(sink.stage(Stage::Vote).count, 1);
-        assert_eq!(sink.stage(Stage::Merge).count, 1);
-        assert_eq!(sink.stage(Stage::Merge).total_nanos, 2_500);
+        assert_eq!(sink.stage(Stage::Crt).count, 1);
+        assert_eq!(sink.stage(Stage::Crt).total_nanos, 2_500);
         assert_eq!(sink.counter(Counter::PoolPanic), 2);
     }
 

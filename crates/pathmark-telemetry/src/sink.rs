@@ -326,7 +326,7 @@ mod tests {
     fn jsonl_sink_emits_one_line_per_event() {
         let buf = SharedBuf::default();
         let sink = JsonlSink::new(Box::new(buf.clone()));
-        sink.record_span(Stage::Merge, 42);
+        sink.record_span(Stage::Crt, 42);
         sink.record_count(Counter::PoolPanic, 1);
         sink.flush();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
@@ -334,7 +334,7 @@ mod tests {
         assert_eq!(
             lines,
             vec![
-                "{\"t\":\"span\",\"stage\":\"merge\",\"ns\":42}",
+                "{\"t\":\"span\",\"stage\":\"crt\",\"ns\":42}",
                 "{\"t\":\"count\",\"counter\":\"pool_panic\",\"delta\":1}",
             ]
         );

@@ -49,7 +49,6 @@ use pathmark::attacks::java as attacks;
 use pathmark::cli::ExitStatus;
 use pathmark::core::java::{Embedder, JavaConfig, Recognizer};
 use pathmark::core::key::{Watermark, WatermarkKey};
-use pathmark::core::ScanMode;
 use pathmark::fleet::batch::{embed_batch_with, recognize_batch_with, BatchOptions, RecognizeJob};
 use pathmark::fleet::cache::TraceCache;
 use pathmark::fleet::manifest::{parse_manifest, to_hex, EmbedJobSpec, JobReport, ReportWriter};
@@ -58,7 +57,7 @@ use pathmark::fleet::retry::RetryPolicy;
 use pathmark::math::bigint::BigUint;
 use pathmark::telemetry::{JsonlSink, MemorySink, Telemetry};
 use pathmark::vm::interp::Vm;
-use pathmark::vm::{ExecTier, Program};
+use pathmark::vm::Program;
 
 /// Why the CLI failed — split so recognition misses get their own exit
 /// code, distinguishable from bad invocations in scripts.
@@ -123,8 +122,6 @@ commands:
   embed     --program FILE --out FILE --seed N --input A,B,… --bits N
             [--pieces N] [--watermark HEX]  embed a fingerprint
   recognize --program FILE --seed N --input A,B,… --bits N [--pieces N]
-            (both take --tier reference|predecoded|compiled to pick the
-            tracer engine; default compiled)
   run       --program FILE [--input A,B,…]  execute, print output
   attack    --program FILE --out FILE --kind KIND [--count N] [--seed N]
             KIND: branches | nops | invert | reorder | split | diversify
@@ -137,23 +134,22 @@ commands:
                   --bits N [--pieces N] [--workers K] [--report FILE]
                   recognize every copy against its manifest entry; the
                   embed report doubles as the manifest
-  serve     --journal PREFIX [--socket PATH | --tcp ADDR] [--workers K]
+  serve     --journal PREFIX [--socket PATH] [--workers K]
             [--max-inflight N] [--max-connections N] [--retries N]
             [--journal-max-bytes N] [--resume]
             run the resident daemon: long-lived embed/recognize sessions
             behind a JSONL request protocol (stdin/stdout without
-            --socket/--tcp; a unix-domain socket or — in builds with the
-            `tcp` feature — a TCP listener with them). Socket transports
-            serve up to --max-connections clients concurrently (default
+            --socket; a unix-domain socket with it). The socket serves
+            up to --max-connections clients concurrently (default
             32); startup refuses a socket path a live daemon still
             answers on and only removes stale files. --max-inflight caps
             accepted-but-unsettled jobs (excess is shed, default 64),
             split fairly across active tenants; --journal-max-bytes
             rotates the journal's live intents file past N bytes;
             --resume replays a crashed daemon's journal before serving
-  connect   --socket PATH | --tcp ADDR
+  connect   --socket PATH
             pipe stdin to a running daemon and its responses to stdout
-            (the scripting client for `serve --socket`/`serve --tcp`)
+            (the scripting client for `serve --socket`)
 
 fault tolerance (fleet embed, fleet recognize):
   --retries N                    re-run a job up to N extra times after
@@ -164,21 +160,6 @@ fault tolerance (fleet embed, fleet recognize):
   --resume                       skip jobs whose outcome lines survive
                                  from an interrupted run (fleet
                                  recognize: needs --report FILE)
-
-execution tier (embed, recognize, fleet embed, fleet recognize):
-  --tier NAME                    tracer engine: reference (oracle),
-                                 predecoded, or compiled (default; falls
-                                 back to predecoded past the compile
-                                 budget or for full-trace recording)
-
-scan mode (recognize, fleet recognize):
-  --scan-mode NAME               fused (default) recognizes a copy in
-                                 one pass, scanning trace bits as the
-                                 tracer streams them; two-phase
-                                 materializes the full bit-string first
-                                 and scans it separately (the reference
-                                 the fused path is property-tested
-                                 against)
 
 telemetry (embed, recognize, fleet embed, fleet recognize, serve):
   --metrics FILE                 capture stage-level spans and counters
@@ -194,6 +175,35 @@ exit codes:
 /// value.
 const BOOLEAN_FLAGS: &[&str] = &["resume"];
 
+/// Every option any command reads (each command checks its own
+/// required ones); anything else is a typo or a retired option.
+const KNOWN_OPTIONS: &[&str] = &[
+    "bits",
+    "count",
+    "dir",
+    "input",
+    "job-timeout",
+    "journal",
+    "journal-max-bytes",
+    "kind",
+    "manifest",
+    "max-connections",
+    "max-inflight",
+    "metrics",
+    "metrics-format",
+    "out",
+    "out-dir",
+    "pieces",
+    "program",
+    "report",
+    "resume",
+    "retries",
+    "seed",
+    "socket",
+    "watermark",
+    "workers",
+];
+
 fn parse_options(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
@@ -201,6 +211,9 @@ fn parse_options(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected an option, found `{key}`"));
         };
+        if !KNOWN_OPTIONS.contains(&name) {
+            return Err(format!("unknown option --{name}"));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             opts.insert(name.to_string(), "true".to_string());
             continue;
@@ -217,26 +230,6 @@ fn required<'o>(opts: &'o HashMap<String, String>, name: &str) -> Result<&'o str
     opts.get(name)
         .map(String::as_str)
         .ok_or_else(|| format!("missing --{name}"))
-}
-
-/// Parses `--tier` (default: the stackvm default, the compiled tier).
-fn parse_tier(opts: &HashMap<String, String>) -> Result<ExecTier, String> {
-    match opts.get("tier") {
-        None => Ok(ExecTier::default()),
-        Some(name) => ExecTier::parse(name).ok_or_else(|| {
-            format!("--tier: unknown tier `{name}` (expected reference, predecoded, or compiled)")
-        }),
-    }
-}
-
-/// Parses `--scan-mode` (default: the fused streaming scan).
-fn parse_scan_mode(opts: &HashMap<String, String>) -> Result<ScanMode, String> {
-    match opts.get("scan-mode") {
-        None => Ok(ScanMode::default()),
-        Some(name) => ScanMode::parse(name).ok_or_else(|| {
-            format!("--scan-mode: unknown mode `{name}` (expected fused or two-phase)")
-        }),
-    }
 }
 
 fn parse_u64(opts: &HashMap<String, String>, name: &str) -> Result<u64, String> {
@@ -380,7 +373,6 @@ fn cmd_embed(opts: &HashMap<String, String>) -> Result<(), String> {
     let metrics = Metrics::from_options(opts)?;
     let session = Embedder::builder(key, config)
         .telemetry(metrics.telemetry.clone())
-        .exec_tier(parse_tier(opts)?)
         .build()
         .map_err(|e| e.to_string())?;
     let watermark = match opts.get("watermark") {
@@ -406,8 +398,6 @@ fn cmd_recognize(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let metrics = Metrics::from_options(opts)?;
     let session = Recognizer::builder(key, config)
         .telemetry(metrics.telemetry.clone())
-        .exec_tier(parse_tier(opts)?)
-        .scan_mode(parse_scan_mode(opts)?)
         .build()
         .map_err(|e| e.to_string())?;
     let rec = session.recognize(&program).map_err(|e| e.to_string())?;
@@ -505,13 +495,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     options.telemetry = metrics.telemetry.clone();
     let server = pathmark::serve::Server::new(options)?;
-    match (opts.get("socket"), opts.get("tcp")) {
-        (Some(_), Some(_)) => return Err("--socket and --tcp are mutually exclusive".into()),
-        (Some(path), None) => server
+    match opts.get("socket") {
+        Some(path) => server
             .serve_unix(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?,
-        (None, Some(addr)) => serve_tcp(&server, addr)?,
-        (None, None) => server.serve_stdio().map_err(|e| format!("stdin: {e}"))?,
+        None => server.serve_stdio().map_err(|e| format!("stdin: {e}"))?,
     }
     // The server (and its pool) must be gone before the metrics file is
     // finalized, so every queued span has reached the sink.
@@ -519,79 +507,26 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     metrics.finish()
 }
 
-#[cfg(feature = "tcp")]
-fn serve_tcp(server: &pathmark::serve::Server, addr: &str) -> Result<(), String> {
-    server.serve_tcp(addr).map_err(|e| format!("{addr}: {e}"))
-}
-
-#[cfg(not(feature = "tcp"))]
-fn serve_tcp(_server: &pathmark::serve::Server, addr: &str) -> Result<(), String> {
-    Err(format!(
-        "--tcp {addr}: this build lacks the `tcp` feature (rebuild with `--features tcp`)"
-    ))
-}
-
-/// The shared half of `pathmark connect`: forward stdin to the daemon,
-/// stream its responses to stdout, and half-close the request side so
-/// the daemon sees EOF while responses keep flowing until drained.
-fn relay_stdio<S>(
-    requests: S,
-    mut responses: S,
-    half_close: fn(&S) -> std::io::Result<()>,
-    label: &str,
-) -> Result<(), String>
-where
-    S: std::io::Read + std::io::Write + Send + 'static,
-{
+/// Pipes stdin to the daemon on `--socket` and streams its responses
+/// to stdout, half-closing the request side so the daemon sees EOF
+/// while responses keep flowing until drained.
+fn cmd_connect(opts: &HashMap<String, String>) -> Result<(), String> {
+    let path = required(opts, "socket")?;
+    let mut requests =
+        std::os::unix::net::UnixStream::connect(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut responses = requests.try_clone().map_err(|e| format!("{path}: {e}"))?;
     // Responses stream to stdout as they arrive; a second thread keeps
     // them flowing while this one forwards stdin.
     let reader = std::thread::spawn(move || {
         let _ = std::io::copy(&mut responses, &mut std::io::stdout());
     });
-    let mut requests = requests;
     std::io::copy(&mut std::io::stdin().lock(), &mut requests)
-        .map_err(|e| format!("{label}: {e}"))?;
-    half_close(&requests).map_err(|e| format!("{label}: {e}"))?;
+        .map_err(|e| format!("{path}: {e}"))?;
+    requests
+        .shutdown(std::net::Shutdown::Write)
+        .map_err(|e| format!("{path}: {e}"))?;
     reader.join().map_err(|_| "response reader panicked".to_string())?;
     Ok(())
-}
-
-fn cmd_connect(opts: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(addr) = opts.get("tcp") {
-        if opts.contains_key("socket") {
-            return Err("--socket and --tcp are mutually exclusive".into());
-        }
-        return connect_tcp(addr);
-    }
-    let path = required(opts, "socket")?;
-    let stream =
-        std::os::unix::net::UnixStream::connect(path).map_err(|e| format!("{path}: {e}"))?;
-    let responses = stream.try_clone().map_err(|e| format!("{path}: {e}"))?;
-    relay_stdio(
-        stream,
-        responses,
-        |s| s.shutdown(std::net::Shutdown::Write),
-        path,
-    )
-}
-
-#[cfg(feature = "tcp")]
-fn connect_tcp(addr: &str) -> Result<(), String> {
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let responses = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-    relay_stdio(
-        stream,
-        responses,
-        |s| s.shutdown(std::net::Shutdown::Write),
-        addr,
-    )
-}
-
-#[cfg(not(feature = "tcp"))]
-fn connect_tcp(addr: &str) -> Result<(), String> {
-    Err(format!(
-        "--tcp {addr}: this build lacks the `tcp` feature (rebuild with `--features tcp`)"
-    ))
 }
 
 fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
@@ -706,7 +641,6 @@ fn cmd_fleet_embed(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let metrics = Metrics::from_options(opts)?;
     let session = Embedder::builder(key, config)
         .telemetry(metrics.telemetry.clone())
-        .exec_tier(parse_tier(opts)?)
         .build()
         .map_err(|e| e.to_string())?;
     let pool = WorkerPool::with_telemetry(workers, metrics.telemetry.clone());
@@ -785,8 +719,6 @@ fn cmd_fleet_recognize(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let metrics = Metrics::from_options(opts)?;
     let session = Recognizer::builder(key, config)
         .telemetry(metrics.telemetry.clone())
-        .exec_tier(parse_tier(opts)?)
-        .scan_mode(parse_scan_mode(opts)?)
         .build()
         .map_err(|e| e.to_string())?;
     let text = std::fs::read_to_string(manifest_path)
@@ -884,5 +816,38 @@ fn cmd_fleet_recognize(opts: &HashMap<String, String>) -> Result<(), CliError> {
     match ExitStatus::for_recognition(recovered, ordered.len()) {
         ExitStatus::Success => Ok(()),
         _ => Err(CliError::NotFound),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_options(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_options_parse() {
+        let opts = parse(&["--socket", "d.sock", "--resume", "--workers", "2"]).unwrap();
+        assert_eq!(opts["socket"], "d.sock");
+        assert_eq!(opts["resume"], "true");
+        assert_eq!(opts["workers"], "2");
+    }
+
+    #[test]
+    fn retired_transport_and_engine_options_are_rejected() {
+        // `serve --tcp` must not silently fall back to a stdio daemon,
+        // nor `--tier` / `--scan-mode` be silently ignored.
+        for name in ["tcp", "tier", "scan-mode"] {
+            let err = parse(&[&format!("--{name}"), "x"]).unwrap_err();
+            assert!(err.contains(&format!("--{name}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_typo_is_rejected_by_name() {
+        let err = parse(&["--program", "a.pmvm", "--seeed", "7"]).unwrap_err();
+        assert_eq!(err, "unknown option --seeed");
     }
 }

@@ -30,7 +30,7 @@
 //! recognize it:
 //!
 //! ```
-//! use pathmark::core::java::{embed, recognize, JavaConfig};
+//! use pathmark::core::java::{Embedder, JavaConfig, Recognizer};
 //! use pathmark::core::key::{Watermark, WatermarkKey};
 //!
 //! let workload = pathmark::workloads::java::caffeinemark();
@@ -38,10 +38,11 @@
 //! let config = JavaConfig::for_watermark_bits(128).with_pieces(24);
 //! let watermark = Watermark::random_for(&config, &key);
 //!
-//! let marked = embed(&workload, &watermark, &key, &config)?;
-//! let found = recognize(&marked.program, &key, &config)?;
+//! let embedder = Embedder::builder(key.clone(), config.clone()).build()?;
+//! let marked = embedder.embed(&workload, &watermark)?;
+//! let found = Recognizer::builder(key, config).build()?.recognize(&marked.program)?;
 //! assert_eq!(found.watermark.as_ref(), Some(watermark.value()));
-//! # Ok::<(), pathmark::core::WatermarkError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use pathmark_attacks as attacks;

@@ -45,11 +45,11 @@ impl Cfg {
         let mut is_leader = vec![false; n];
         is_leader[0] = true;
         for (pc, insn) in func.code.iter().enumerate() {
-            for t in insn.targets() {
+            insn.for_each_target(|t| {
                 if t < n {
                     is_leader[t] = true;
                 }
-            }
+            });
             let ends_block = insn.is_branch() || matches!(insn, Insn::Return(_));
             if ends_block && pc + 1 < n {
                 is_leader[pc + 1] = true;

@@ -1,25 +1,23 @@
-//! The compile tier: a flattened threaded-code backend for the tracer.
+//! The compiled tier: a flattened threaded-code backend, and the tracer's
+//! only production engine.
 //!
 //! Recognition re-runs every suspect copy (Section 4.3), so the tracer's
-//! dispatch loop bounds serial copies/s. The [`Predecoded`] engine already
-//! decodes once and fuses 21 superinstructions, but it still pays, per
-//! dynamic op, a block-leader test, per-frame code/leader re-hoisting on
-//! every call boundary, and one dispatch per predecoded head. This module
-//! translates the predecoded form **once more** into a program-wide
-//! flattened instruction array tuned for the recognition configuration
-//! (`branches_only` / `off` — no block or snapshot events):
+//! dispatch loop bounds serial copies/s. This module translates the
+//! [`Predecoded`] form (decoded once, 21 fused superinstructions) once
+//! more into a program-wide flattened instruction array:
 //!
 //! * all functions are concatenated into one `Vec<COp>` with a
 //!   [`COp::EndGuard`] sentinel slot after each function, so "fell off
 //!   the end" and clamped out-of-range branch targets are ordinary
 //!   fetches of a guard op — the hot loop has no per-function slices to
-//!   re-hoist and no leader bitmap to consult;
+//!   re-hoist;
 //! * call sites carry the callee's pre-resolved absolute entry offset,
 //!   arity, and frame size, so a call is a frame push plus a jump;
-//! * branch recording is a compile-time const (`TRACED`), not a runtime
-//!   flag, and branch events stream into the caller's [`TraceSink`] —
-//!   with the packed-bits sink the bit lands straight in the builder's
-//!   accumulator word;
+//! * what a run records is a compile-time const (`MODE`: [`OFF`],
+//!   [`BRANCHES`] or [`FULL`]), not a runtime flag, so the recognition
+//!   loops carry no block or snapshot code, and branch events stream into
+//!   the caller's [`TraceSink`] — with the packed-bits sink the bit lands
+//!   straight in the builder's accumulator word;
 //! * a second peephole pass fuses sequences the 16-byte predecoded form
 //!   cannot express — most importantly [`COp::FusedExpr`], the
 //!   watermark-decoder's whole `t = (x >> (i - 1)) & 1` loop body
@@ -31,29 +29,40 @@
 //! Every fused op charges the instruction count the originals would
 //! have cost and reports error pcs / branch sites at their original
 //! offsets, so outcomes, traces, and faults are bit-identical to the
-//! reference interpreter — the cross-tier property test in `interp.rs`
-//! holds all three engines to that.
+//! reference interpreter — the equivalence property test in `interp.rs`
+//! holds the two engines to that under every trace mode.
 //!
-//! Translation is linear and cheap, but unbounded programs (an attacked
-//! copy could be arbitrarily large) fall back: [`Compiled::build`]
-//! returns `None` past a compile budget and the [`Vm`] silently runs
-//! the predecoded engine instead.
-//!
-//! [`Vm`]: crate::interp::Vm
+//! Under [`FULL`] the loop emits block and snapshot events when it
+//! dispatches a block leader, so no fused op may swallow one: the
+//! program is compiled with the mode in hand, and that compile skips
+//! the fusions that cross a leader (the jump-threaded back edges, the
+//! kernels, and an increment fused into a leader loop header).
 
 use crate::insn::{BinOp, Cond};
-use crate::interp::{RunResult, MAX_CALL_DEPTH};
+use crate::interp::{array, array_mut, heap_charge, locals_charge, RunResult, MAX_CALL_DEPTH};
 use crate::predecode::{op_width, Op, Predecoded};
 use crate::program::{FuncId, Program};
-use crate::trace::{Site, TraceSink};
+use crate::trace::{Site, TraceConfig, TraceSink};
 use crate::VmError;
 
-/// Maximum number of flattened slots a program may occupy before the
-/// compile tier declines and the [`Vm`](crate::interp::Vm) falls back to
-/// the predecoded engine. Marked workloads are a few thousand ops; the
-/// budget only exists so an adversarially bloated copy cannot make the
-/// per-run translation pass dominate the run itself.
-pub const DEFAULT_COMPILE_BUDGET: usize = 1 << 16;
+/// Trace mode: record nothing.
+pub(crate) const OFF: u8 = 0;
+/// Trace mode: record branch events only (the recognition config).
+pub(crate) const BRANCHES: u8 = 1;
+/// Trace mode: record block and snapshot events too, as `TraceConfig`
+/// asks (the embedder's config).
+pub(crate) const FULL: u8 = 2;
+
+/// The trace mode a configuration needs.
+pub(crate) fn trace_mode(config: &TraceConfig) -> u8 {
+    if config.blocks || config.snapshots {
+        FULL
+    } else if config.branches {
+        BRANCHES
+    } else {
+        OFF
+    }
+}
 
 /// A flattened, pre-resolved instruction. Branch targets stay
 /// *function-relative* (trace sites and error offsets are relative, and
@@ -356,7 +365,7 @@ struct CFrame {
 
 /// A whole program translated to the flattened compiled form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Compiled {
+pub(crate) struct Compiled {
     code: Vec<COp>,
     switches: Vec<CSwitch>,
     kernels: Vec<KernelLoop>,
@@ -368,23 +377,22 @@ pub struct Compiled {
     /// Frame sizes, indexed by function id (the `BadCall` slow path and
     /// the entry frame need them).
     num_locals: Vec<u32>,
+    /// `leaders[pc]` per flattened slot, built for [`FULL`] only (guard
+    /// slots are never leaders).
+    leaders: Vec<bool>,
 }
 
 impl Compiled {
-    /// Translates `pre` into the flattened form, or `None` when the
-    /// program exceeds `budget` flattened slots (the caller falls back
-    /// to the predecoded engine).
-    pub fn build(pre: &Predecoded, budget: usize) -> Option<Compiled> {
+    /// Translates `pre` into the flattened form for trace mode `mode`
+    /// ([`FULL`] keeps every block leader a dispatch head).
+    pub(crate) fn build(pre: &Predecoded, mode: u8) -> Compiled {
+        let full = mode == FULL;
         let total: usize = pre.funcs.iter().map(|f| f.code.len() + 1).sum();
-        if total > budget || total > u32::MAX as usize {
-            return None;
-        }
-
         let mut starts = Vec::with_capacity(pre.funcs.len());
-        let mut at = 0u32;
+        let mut at = 0usize;
         for f in &pre.funcs {
-            starts.push(at);
-            at += f.code.len() as u32 + 1;
+            starts.push(u32::try_from(at).expect("program fits a u32 pc"));
+            at += f.code.len() + 1;
         }
 
         let mut code = Vec::with_capacity(total);
@@ -392,6 +400,7 @@ impl Compiled {
         let mut kernels = Vec::new();
         let mut expr_ifs = Vec::new();
         let mut wides = Vec::new();
+        let mut leaders = Vec::with_capacity(if full { total } else { 0 });
         for (fid, f) in pre.funcs.iter().enumerate() {
             let switch_base = switches.len() as u32;
             for tbl in &f.switches {
@@ -401,12 +410,17 @@ impl Compiled {
             for &op in &f.code {
                 code.push(translate(op, switch_base, &starts));
             }
-            fuse_compiled(&mut code[lo..], &f.leaders, &f.code, &mut wides);
-            fuse_kernels(&mut code[lo..], &mut kernels, &mut expr_ifs);
+            fuse_compiled(&mut code[lo..], &f.leaders, &f.code, &mut wides, full);
+            if full {
+                leaders.extend_from_slice(&f.leaders);
+                leaders.push(false);
+            } else {
+                fuse_kernels(&mut code[lo..], &mut kernels, &mut expr_ifs);
+            }
             code.push(COp::EndGuard(fid as u32));
         }
 
-        Some(Compiled {
+        Compiled {
             code,
             switches,
             kernels,
@@ -414,7 +428,8 @@ impl Compiled {
             wides,
             starts,
             num_locals: pre.funcs.iter().map(|f| f.num_locals).collect(),
-        })
+            leaders,
+        }
     }
 }
 
@@ -490,141 +505,139 @@ fn no_fault(op: BinOp) -> bool {
 /// Second peephole pass over one function's translated code: fuses
 /// head sequences the predecoded 16-byte form could not hold. The walk
 /// steps by predecoded op width, which visits exactly the reachable
-/// heads; a fusion additionally requires every interior head to be a
+/// heads, and dispatches on the head op (each pattern has its own);
+/// a fusion additionally requires every interior head to be a
 /// non-leader so no branch can land inside the group. Consumed slots
 /// keep their 1:1 translations but become unreachable — pc numbering,
-/// branch targets, and trace sites are untouched.
-fn fuse_compiled(code: &mut [COp], leaders: &[bool], pre: &[Op], wides: &mut Vec<WideCmp>) {
+/// branch targets, and trace sites are untouched. Under `full` (block
+/// and snapshot recording) no fusion may run through a leader at all,
+/// so the two that do — an increment fused into its loop header and
+/// the jump-threaded back edges — are skipped.
+fn fuse_compiled(
+    code: &mut [COp],
+    leaders: &[bool],
+    pre: &[Op],
+    wides: &mut Vec<WideCmp>,
+    full: bool,
+) {
     let n = code.len();
+    let mut wide = |w: WideCmp| {
+        let idx = u32::try_from(wides.len()).expect("fits the code");
+        wides.push(w);
+        idx
+    };
     let mut pc = 0;
     while pc < n {
-        let w = op_width(pre[pc]);
-        // The watermark-decoder loop body: Load2 + ConstBin + BinConst
-        // + BinStore — eight original ops, pure, one dispatch.
-        if pc + 8 <= n && !leaders[pc + 2] && !leaders[pc + 4] && !leaders[pc + 6] {
-            if let (
-                COp::Load2(a, b),
-                COp::ConstBin(c1, o1),
-                COp::BinConst(o2, c2),
-                COp::BinStore(o3, d),
-            ) = (code[pc], code[pc + 2], code[pc + 4], code[pc + 6])
+        let fused: Option<(COp, usize)> = match code[pc] {
+            // The watermark-decoder loop body (Load2 + ConstBin +
+            // BinConst + BinStore) and the compute kernels' reduction
+            // body (Load2 + LoadBin + ConstBin + BinStore): eight
+            // original ops, pure, stack-free in one dispatch.
+            COp::Load2(a, b)
+                if pc + 8 <= n && !leaders[pc + 2] && !leaders[pc + 4] && !leaders[pc + 6] =>
             {
-                let pure = no_fault(o1) && no_fault(o2) && no_fault(o3);
-                if let (true, Ok(a), Ok(b), Ok(d), Ok(c1), Ok(c2)) = (
-                    pure,
-                    u16::try_from(a),
-                    u16::try_from(b),
-                    u16::try_from(d),
-                    i16::try_from(c1),
-                    i16::try_from(c2),
-                ) {
-                    code[pc] = COp::FusedExpr {
-                        a,
-                        b,
-                        d,
-                        c1,
-                        c2,
-                        o1,
-                        o2,
-                        o3,
-                    };
-                    pc += 8;
-                    continue;
+                match (code[pc + 2], code[pc + 4], code[pc + 6]) {
+                    (COp::ConstBin(c1, o1), COp::BinConst(o2, c2), COp::BinStore(o3, d)) => {
+                        let pure = no_fault(o1) && no_fault(o2) && no_fault(o3);
+                        match (
+                            pure,
+                            u16::try_from(a),
+                            u16::try_from(b),
+                            u16::try_from(d),
+                            i16::try_from(c1),
+                            i16::try_from(c2),
+                        ) {
+                            (true, Ok(a), Ok(b), Ok(d), Ok(c1), Ok(c2)) => Some((
+                                COp::FusedExpr {
+                                    a,
+                                    b,
+                                    d,
+                                    c1,
+                                    c2,
+                                    o1,
+                                    o2,
+                                    o3,
+                                },
+                                8,
+                            )),
+                            _ => None,
+                        }
+                    }
+                    (COp::LoadBin(c, o1), COp::ConstBin(v, o2), COp::BinStore(o3, d)) => {
+                        let pure = no_fault(o1) && no_fault(o2) && no_fault(o3);
+                        match (
+                            pure,
+                            u16::try_from(a),
+                            u16::try_from(b),
+                            u16::try_from(c),
+                            u16::try_from(d),
+                            i32::try_from(v),
+                        ) {
+                            (true, Ok(a), Ok(b), Ok(c), Ok(d), Ok(v)) => Some((
+                                COp::FusedExpr2 {
+                                    a,
+                                    b,
+                                    c,
+                                    d,
+                                    o1,
+                                    o2,
+                                    o3,
+                                    v,
+                                },
+                                8,
+                            )),
+                            _ => None,
+                        }
+                    }
+                    _ => None,
                 }
             }
-        }
-        // The decoder loop's piece dispatch: Load + Switch.
-        if pc + 2 <= n && !leaders[pc + 1] {
-            if let (COp::Load(m), COp::Switch(table)) = (code[pc], code[pc + 1]) {
-                if let Ok(m) = u16::try_from(m) {
-                    code[pc] = COp::LoadSwitch(m, table);
-                    pc += 2;
-                    continue;
+            // The decoder loop's piece dispatch: Load + Switch.
+            COp::Load(m) if pc + 2 <= n && !leaders[pc + 1] => {
+                match (code[pc + 1], u16::try_from(m)) {
+                    (COp::Switch(table), Ok(m)) => Some((COp::LoadSwitch(m, table), 2)),
+                    _ => None,
                 }
             }
-        }
-        // The switch-controlled loop back edge: Iinc + Load + Switch.
-        if pc + 3 <= n && !leaders[pc + 2] {
-            if let (COp::IincLoad(iinc_n, d, m), COp::Switch(table)) = (code[pc], code[pc + 2]) {
-                if let (Ok(iinc_n), Ok(m), Ok(d)) =
-                    (u16::try_from(iinc_n), u16::try_from(m), i16::try_from(d))
-                {
-                    code[pc] = COp::IincLoadSwitch {
-                        n: iinc_n,
-                        d,
-                        m,
-                        table,
-                    };
-                    pc += 3;
-                    continue;
-                }
-            }
-        }
-        // An expression tail feeding a branch: Bin + If.
-        if pc + 2 <= n && !leaders[pc + 1] {
-            if let (COp::Bin(o), COp::If(c, t)) = (code[pc], code[pc + 1]) {
-                code[pc] = COp::BinIf(o, c, t);
-                pc += 2;
-                continue;
-            }
-        }
-        // The compute kernels' reduction body: Load2 + LoadBin +
-        // ConstBin + BinStore, stack-free in one dispatch.
-        if pc + 8 <= n && !leaders[pc + 2] && !leaders[pc + 4] && !leaders[pc + 6] {
-            if let (
-                COp::Load2(a, b),
-                COp::LoadBin(c, o1),
-                COp::ConstBin(v, o2),
-                COp::BinStore(o3, d),
-            ) = (code[pc], code[pc + 2], code[pc + 4], code[pc + 6])
-            {
-                let pure = no_fault(o1) && no_fault(o2) && no_fault(o3);
-                if let (true, Ok(a), Ok(b), Ok(c), Ok(d), Ok(v)) = (
-                    pure,
-                    u16::try_from(a),
-                    u16::try_from(b),
-                    u16::try_from(c),
-                    u16::try_from(d),
-                    i32::try_from(v),
-                ) {
-                    code[pc] = COp::FusedExpr2 {
-                        a,
-                        b,
-                        c,
-                        d,
-                        o1,
-                        o2,
-                        o3,
-                        v,
-                    };
-                    pc += 8;
-                    continue;
-                }
-            }
-        }
-        // A counting loop's increment feeding its compare-branch header:
-        // Iinc + LoadConstIfCmp. The header may be a leader — its slot
-        // keeps the 1:1 translation, so branches landing on it execute
-        // the original op; only the fall-through edge takes the fused
-        // path, which emits the identical branch event.
-        if pc + 4 <= n {
-            if let (COp::Iinc(iinc_n, d), COp::LoadConstIfCmp(m, cond, t, v)) =
-                (code[pc], code[pc + 1])
-            {
-                if let (Ok(iinc_n), Ok(d)) = (u16::try_from(iinc_n), i16::try_from(d)) {
-                    code[pc] = match i32::try_from(v) {
-                        Ok(v) => COp::IincLoadConstIfCmp {
+            // The switch-controlled loop back edge: Iinc + Load + Switch.
+            COp::IincLoad(iinc_n, d, m) if pc + 3 <= n && !leaders[pc + 2] => {
+                match (code[pc + 2], u16::try_from(iinc_n), u16::try_from(m), i16::try_from(d)) {
+                    (COp::Switch(table), Ok(iinc_n), Ok(m), Ok(d)) => Some((
+                        COp::IincLoadSwitch {
                             n: iinc_n,
                             d,
                             m,
-                            cond,
-                            t,
-                            v,
+                            table,
                         },
-                        Err(_) => {
-                            let idx = u32::try_from(wides.len())
-                                .expect("within the compile budget");
-                            wides.push(WideCmp {
+                        3,
+                    )),
+                    _ => None,
+                }
+            }
+            // An expression tail feeding a branch: Bin + If.
+            COp::Bin(o) if pc + 2 <= n && !leaders[pc + 1] => match code[pc + 1] {
+                COp::If(c, t) => Some((COp::BinIf(o, c, t), 2)),
+                _ => None,
+            },
+            // A counting loop's increment feeding its compare-branch
+            // header: Iinc + LoadConstIfCmp. The header may be a leader
+            // (except under `full`) — its slot keeps the 1:1
+            // translation, so branches landing on it execute the
+            // original op; only the fall-through edge takes the fused
+            // path, which emits the identical branch event.
+            COp::Iinc(iinc_n, d) if pc + 4 <= n && !(full && leaders[pc + 1]) => {
+                match (code[pc + 1], u16::try_from(iinc_n), i16::try_from(d)) {
+                    (COp::LoadConstIfCmp(m, cond, t, v), Ok(iinc_n), Ok(d)) => {
+                        let op = match i32::try_from(v) {
+                            Ok(v) => COp::IincLoadConstIfCmp {
+                                n: iinc_n,
+                                d,
+                                m,
+                                cond,
+                                t,
+                                v,
+                            },
+                            Err(_) => COp::IincLoadConstIfCmpW(wide(WideCmp {
                                 n: iinc_n,
                                 d,
                                 m,
@@ -632,60 +645,51 @@ fn fuse_compiled(code: &mut [COp], leaders: &[bool], pre: &[Op], wides: &mut Vec
                                 t,
                                 tt: 0,
                                 v,
-                            });
-                            COp::IincLoadConstIfCmpW(idx)
-                        }
-                    };
-                    pc += 4;
-                    continue;
-                }
-            }
-        }
-        // Jump-threaded back edges: a `Goto`/`IincGoto` whose target is
-        // a compare-branch loop header gets a copy of the header
-        // inlined into the back-edge slot. The header itself stays live
-        // at its own offset for every other predecessor, so pc
-        // numbering, branch sites, and targets are untouched — the
-        // back edge just stops costing a separate dispatch. The header
-        // patterns are never fusion heads in any pass, so the target
-        // slot always still holds its 1:1 translation whichever order
-        // the walk visits the two.
-        if let COp::Goto(t) = code[pc] {
-            let ti = t as usize;
-            if ti < n {
-                if let COp::LoadConstIfCmp(m, cond, tt, v) = code[ti] {
-                    if let Ok(t) = u16::try_from(t) {
-                        code[pc] = match i32::try_from(v) {
-                            Ok(v) => COp::GotoLoadConstIfCmp { m, cond, t, tt, v },
-                            Err(_) => {
-                                let idx = u32::try_from(wides.len())
-                                    .expect("within the compile budget");
-                                wides.push(WideCmp {
-                                    n: 0,
-                                    d: 0,
-                                    m,
-                                    cond,
-                                    t,
-                                    tt,
-                                    v,
-                                });
-                                COp::GotoLoadConstIfCmpW(idx)
-                            }
+                            })),
                         };
-                        pc += 1;
-                        continue;
+                        Some((op, 4))
                     }
+                    _ => None,
                 }
             }
-        }
-        if let COp::IincGoto(iinc_n, d, t) = code[pc] {
-            let ti = t as usize;
-            if ti < n {
-                if let COp::Load2IfCmp(a, b, cond, tt) = code[ti] {
-                    if let (Ok(iinc_n), Ok(d), Ok(t)) =
-                        (u16::try_from(iinc_n), i16::try_from(d), u16::try_from(t))
-                    {
-                        code[pc] = COp::IincGotoLoad2IfCmp {
+            // Jump-threaded back edges: a `Goto`/`IincGoto` whose target
+            // is a compare-branch loop header gets a copy of the header
+            // inlined into the back-edge slot. The header itself stays
+            // live at its own offset for every other predecessor, so pc
+            // numbering, branch sites, and targets are untouched — the
+            // back edge just stops costing a separate dispatch. The
+            // header patterns are never fusion heads in any pass, so the
+            // target slot always still holds its 1:1 translation
+            // whichever order the walk visits the two.
+            COp::Goto(t) if !full && (t as usize) < n => {
+                match (code[t as usize], u16::try_from(t)) {
+                    (COp::LoadConstIfCmp(m, cond, tt, v), Ok(t)) => {
+                        let op = match i32::try_from(v) {
+                            Ok(v) => COp::GotoLoadConstIfCmp { m, cond, t, tt, v },
+                            Err(_) => COp::GotoLoadConstIfCmpW(wide(WideCmp {
+                                n: 0,
+                                d: 0,
+                                m,
+                                cond,
+                                t,
+                                tt,
+                                v,
+                            })),
+                        };
+                        Some((op, 1))
+                    }
+                    _ => None,
+                }
+            }
+            COp::IincGoto(iinc_n, d, t) if !full && (t as usize) < n => {
+                match (
+                    code[t as usize],
+                    u16::try_from(iinc_n),
+                    i16::try_from(d),
+                    u16::try_from(t),
+                ) {
+                    (COp::Load2IfCmp(a, b, cond, tt), Ok(iinc_n), Ok(d), Ok(t)) => Some((
+                        COp::IincGotoLoad2IfCmp {
                             n: iinc_n,
                             d,
                             a,
@@ -693,14 +697,21 @@ fn fuse_compiled(code: &mut [COp], leaders: &[bool], pre: &[Op], wides: &mut Vec
                             cond,
                             t,
                             tt,
-                        };
-                        pc += 2;
-                        continue;
-                    }
+                        },
+                        2,
+                    )),
+                    _ => None,
                 }
             }
+            _ => None,
+        };
+        match fused {
+            Some((op, width)) => {
+                code[pc] = op;
+                pc += width;
+            }
+            None => pc += op_width(pre[pc]),
         }
-        pc += w;
     }
 }
 
@@ -729,7 +740,7 @@ fn fuse_kernels(code: &mut [COp], kernels: &mut Vec<KernelLoop>, expr_ifs: &mut 
         ) = (code[pc], code[pc + 8])
         {
             if let (Ok(lif_n), Ok(t)) = (u16::try_from(lif_n), u16::try_from(t)) {
-                let idx = u32::try_from(expr_ifs.len()).expect("within the compile budget");
+                let idx = u32::try_from(expr_ifs.len()).expect("fits the code");
                 expr_ifs.push(ExprIf {
                     a,
                     b,
@@ -769,7 +780,7 @@ fn fuse_kernels(code: &mut [COp], kernels: &mut Vec<KernelLoop>, expr_ifs: &mut 
             },
         ) = (code[pc], code[pc + 8])
         {
-            let idx = u32::try_from(kernels.len()).expect("within the compile budget");
+            let idx = u32::try_from(kernels.len()).expect("fits the code");
             kernels.push(KernelLoop {
                 a,
                 b,
@@ -792,24 +803,33 @@ fn fuse_kernels(code: &mut [COp], kernels: &mut Vec<KernelLoop>, expr_ifs: &mut 
     }
 }
 
-/// Runs a compiled program. `TRACED` selects branch recording at
-/// monomorphization time — the recognition configs are `branches_only`
-/// (true) and `off` (false); block/snapshot recording is not supported
-/// here (the [`Vm`](crate::interp::Vm) falls back to the predecoded
-/// engine for those configs).
-pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
+/// Runs a compiled program. `MODE` selects what is recorded at
+/// monomorphization time: the recognition configs are [`BRANCHES`] and
+/// [`OFF`], whose loops carry no block or snapshot code; [`FULL`] also
+/// emits the block and snapshot events `config` asks for at each block
+/// leader it dispatches, and needs `compiled` built for [`FULL`].
+pub(crate) fn run_compiled<S: TraceSink, const MODE: u8>(
     compiled: &Compiled,
     program: &Program,
     input: &[i64],
     budget: u64,
+    config: &TraceConfig,
     sink: &mut S,
 ) -> Result<RunResult, VmError> {
     let code = compiled.code.as_slice();
     let mut statics = vec![0i64; program.statics.len()];
     let mut heap: Vec<Vec<i64>> = Vec::new();
+    let mut heap_cells: usize = 0;
     let mut output = Vec::new();
     let mut input_pos = 0usize;
     let mut executed: u64 = 0;
+    let record_branches = config.branches;
+    // Per flattened slot, the snapshots taken so far (`FULL` only).
+    let mut snapshot_counts = if MODE == FULL && config.snapshots {
+        vec![0u32; code.len()]
+    } else {
+        Vec::new()
+    };
 
     let mut stack: Vec<i64> = Vec::with_capacity(64);
     let mut locals: Vec<i64> = Vec::with_capacity(64);
@@ -828,7 +848,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
         executed += 1;
         if executed > budget {
             // The guard fetch *is* the fell-off-the-end fault, and —
-            // like the predecoded engine's failed `code.get(pc)` — it
+            // like the reference engine's `pc >= code.len()` test — it
             // precedes the instruction charge, so a guard fetched
             // exactly at budget exhaustion still reports `FellOffEnd`.
             // Testing for it only on this cold path keeps the guard
@@ -838,6 +858,22 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
                 return Err(VmError::FellOffEnd { func: FuncId(f) });
             }
             return Err(VmError::BudgetExhausted { budget });
+        }
+        if MODE == FULL && compiled.leaders[pc] {
+            let site = Site {
+                func: FuncId(func),
+                pc: pc - base,
+            };
+            if config.blocks {
+                sink.enter_block(site);
+            }
+            if config.snapshots {
+                let seen = &mut snapshot_counts[pc];
+                if config.snapshot_limit == 0 || *seen < config.snapshot_limit {
+                    *seen += 1;
+                    sink.snapshot(site, &locals[locals_base..], &statics);
+                }
+            }
         }
 
         // Errors and trace sites report *function-relative* offsets —
@@ -893,10 +929,10 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
             }};
         }
 
-        // Same budget discipline as the predecoded engine: a fused op
-        // charges the instructions the originals would have cost; the
-        // earlier ops' work is unobservable once the budget error
-        // returns, so one combined check is equivalent.
+        // A fused op charges the instructions the originals would have
+        // cost; the earlier ops' work is unobservable once the budget
+        // error returns, so one combined check is equivalent to the
+        // reference engine's per-op checks.
         macro_rules! charge {
             ($extra:expr) => {
                 executed += $extra;
@@ -908,7 +944,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
 
         macro_rules! branch_event {
             ($site_rel:expr, $next_rel:expr) => {
-                if TRACED {
+                if MODE == BRANCHES || (MODE == FULL && record_branches) {
                     sink.branch(
                         Site {
                             func: FuncId(func),
@@ -991,6 +1027,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
                         len,
                     });
                 }
+                heap_cells = heap_charge(heap_cells, len, FuncId(func), pc - base)?;
                 heap.push(vec![0i64; len as usize]);
                 stack.push(heap.len() as i64 - 1);
                 pc += 1;
@@ -998,7 +1035,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
             COp::ALoad => {
                 let idx = pop!();
                 let handle = pop!();
-                let v = *array(&heap, handle, func, pc - base)?
+                let v = *array(&heap, handle, FuncId(func), pc - base)?
                     .get(idx as usize)
                     .ok_or(VmError::BadArrayAccess {
                         func: FuncId(func),
@@ -1012,7 +1049,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
                 let v = pop!();
                 let idx = pop!();
                 let handle = pop!();
-                let arr = array_mut(&mut heap, handle, func, pc - base)?;
+                let arr = array_mut(&mut heap, handle, FuncId(func), pc - base)?;
                 let slot = arr.get_mut(idx as usize).ok_or(VmError::BadArrayAccess {
                     func: FuncId(func),
                     pc: pc - base,
@@ -1023,7 +1060,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
             }
             COp::ArrayLen => {
                 let handle = pop!();
-                let len = array(&heap, handle, func, pc - base)?.len() as i64;
+                let len = array(&heap, handle, FuncId(func), pc - base)?.len() as i64;
                 stack.push(len);
                 pc += 1;
             }
@@ -1064,6 +1101,7 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
                         pc: pc - base,
                     });
                 }
+                locals_charge(locals.len(), num_locals as usize, FuncId(func), pc - base)?;
                 let new_locals_base = locals.len();
                 let split = stack.len() - argc;
                 locals.extend_from_slice(&stack[split..]);
@@ -1096,6 +1134,12 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
                         pc: pc - base,
                     });
                 }
+                locals_charge(
+                    locals.len(),
+                    callee.num_locals as usize,
+                    FuncId(func),
+                    pc - base,
+                )?;
                 let mut callee_locals = vec![0i64; callee.num_locals as usize];
                 let split = stack.len() - argc;
                 for (i, v) in stack.drain(split..).enumerate() {
@@ -1530,33 +1574,6 @@ pub(crate) fn run_compiled<S: TraceSink, const TRACED: bool>(
     }
 }
 
-fn array(heap: &[Vec<i64>], handle: i64, func: u32, pc: usize) -> Result<&Vec<i64>, VmError> {
-    usize::try_from(handle)
-        .ok()
-        .and_then(|h| heap.get(h))
-        .ok_or(VmError::BadArrayAccess {
-            func: FuncId(func),
-            pc,
-            value: handle,
-        })
-}
-
-fn array_mut(
-    heap: &mut [Vec<i64>],
-    handle: i64,
-    func: u32,
-    pc: usize,
-) -> Result<&mut Vec<i64>, VmError> {
-    usize::try_from(handle)
-        .ok()
-        .and_then(|h| heap.get_mut(h))
-        .ok_or(VmError::BadArrayAccess {
-            func: FuncId(func),
-            pc,
-            value: handle,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1566,22 +1583,6 @@ mod tests {
         // Same discipline as the predecoded form: the flattened array's
         // cache traffic is the dispatch loop's memory bound.
         assert!(std::mem::size_of::<COp>() <= 16);
-    }
-
-    #[test]
-    fn oversized_programs_decline_to_compile() {
-        use crate::builder::{FunctionBuilder, ProgramBuilder};
-        let mut pb = ProgramBuilder::new();
-        let mut f = FunctionBuilder::new("main", 0, 0);
-        for _ in 0..64 {
-            f.raw(crate::insn::Insn::Nop);
-        }
-        f.ret_void();
-        let main = pb.add_function(f.finish().unwrap());
-        let p = pb.finish(main).unwrap();
-        let pre = Predecoded::build(&p);
-        assert!(Compiled::build(&pre, 16).is_none(), "past the budget");
-        assert!(Compiled::build(&pre, 1 << 10).is_some(), "within it");
     }
 
     #[test]
@@ -1605,7 +1606,7 @@ mod tests {
         let main = pb.add_function(f.finish().unwrap());
         let p = pb.finish(main).unwrap();
         let pre = Predecoded::build(&p);
-        let compiled = Compiled::build(&pre, DEFAULT_COMPILE_BUDGET).unwrap();
+        let compiled = Compiled::build(&pre, BRANCHES);
         assert!(
             compiled
                 .code
@@ -1615,7 +1616,8 @@ mod tests {
             compiled.code
         );
         let mut sink = crate::trace::Trace::new();
-        let r = run_compiled::<_, false>(&compiled, &p, &[], 1000, &mut sink).unwrap();
+        let config = TraceConfig::off();
+        let r = run_compiled::<_, OFF>(&compiled, &p, &[], 1000, &config, &mut sink).unwrap();
         assert_eq!(r.output, vec![(0b1010 >> 1) & 1]);
     }
 }

@@ -66,6 +66,24 @@ pub enum VmError {
         /// The requested length.
         len: i64,
     },
+    /// A `NewArray` would take the run's heap past
+    /// [`MAX_HEAP_CELLS`](crate::interp::MAX_HEAP_CELLS).
+    HeapCapExceeded {
+        /// Function in which the fault occurred.
+        func: FuncId,
+        /// Program counter of the faulting instruction.
+        pc: usize,
+        /// The requested length.
+        len: i64,
+    },
+    /// A call would take the live locals past
+    /// [`MAX_LOCALS_CELLS`](crate::interp::MAX_LOCALS_CELLS).
+    LocalsCapExceeded {
+        /// Function in which the fault occurred.
+        func: FuncId,
+        /// Program counter of the faulting call.
+        pc: usize,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -103,6 +121,16 @@ impl fmt::Display for VmError {
             VmError::NegativeArrayLength { func, pc, len } => write!(
                 f,
                 "negative array length {len} in fn#{} at pc {pc}",
+                func.0
+            ),
+            VmError::HeapCapExceeded { func, pc, len } => write!(
+                f,
+                "array of {len} cells exceeds the heap cap in fn#{} at pc {pc}",
+                func.0
+            ),
+            VmError::LocalsCapExceeded { func, pc } => write!(
+                f,
+                "call exceeds the locals cap in fn#{} at pc {pc}",
                 func.0
             ),
         }

@@ -201,17 +201,25 @@ impl Insn {
         self.is_conditional_branch() || matches!(self, Insn::Goto(_) | Insn::Switch { .. })
     }
 
+    /// Calls `f` on every explicit branch target of this instruction,
+    /// allocating nothing (the predecoder and the CFG builder visit
+    /// every instruction of a program).
+    pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
+        match self {
+            Insn::Goto(t) | Insn::If(_, t) | Insn::IfCmp(_, t) => f(*t),
+            Insn::Switch { cases, default } => {
+                cases.iter().for_each(|&(_, t)| f(t));
+                f(*default);
+            }
+            _ => {}
+        }
+    }
+
     /// All explicit branch targets of this instruction.
     pub fn targets(&self) -> Vec<usize> {
-        match self {
-            Insn::Goto(t) | Insn::If(_, t) | Insn::IfCmp(_, t) => vec![*t],
-            Insn::Switch { cases, default } => {
-                let mut ts: Vec<usize> = cases.iter().map(|&(_, t)| t).collect();
-                ts.push(*default);
-                ts
-            }
-            _ => Vec::new(),
-        }
+        let mut ts = Vec::new();
+        self.for_each_target(|t| ts.push(t));
+        ts
     }
 
     /// Rewrites every branch target with `f`. Used by the editing layer

@@ -7,21 +7,21 @@
 //!
 //! Two engines share one semantics:
 //!
-//! * [`Vm::run`] / [`Vm::run_with_sink`] dispatch over the dense
-//!   [`Predecoded`] form (decode once, stream events to a
-//!   [`TraceSink`]) — the hot path recognition lives on;
+//! * [`Vm::run`] / [`Vm::run_with_sink`] run the compiled threaded-code
+//!   form ([`crate::compile`]) under every trace configuration, streaming
+//!   events to a [`TraceSink`] — the path embedding and recognition use;
 //! * [`Vm::run_reference`] is the original enum-dispatch interpreter,
 //!   kept verbatim as the semantic oracle the property tests compare
-//!   the dense engine against.
+//!   the compiled engine against.
 
 use crate::cfg::Cfg;
-use crate::compile::{run_compiled, Compiled, DEFAULT_COMPILE_BUDGET};
+use crate::compile::{run_compiled, trace_mode, Compiled, BRANCHES, FULL, OFF};
 use crate::insn::{BinOp, Insn};
-use crate::predecode::{Op, Predecoded};
+use crate::predecode::Predecoded;
 use crate::program::{FuncId, Program};
 use crate::trace::{Site, SnapshotData, Trace, TraceConfig, TraceEvent, TraceSink};
 use crate::VmError;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Default instruction budget (generous; guards against runaway loops in
 /// attacked programs).
@@ -30,57 +30,22 @@ pub const DEFAULT_BUDGET: u64 = 200_000_000;
 /// Maximum call-stack depth.
 pub const MAX_CALL_DEPTH: usize = 10_000;
 
-/// Which execution engine a [`Vm`] dispatches to. All three share one
-/// semantics — the cross-tier property test holds them to bit-identical
-/// outcomes, traces, and faults — and differ only in speed:
-///
-/// * [`ExecTier::Reference`] — the original enum-walk interpreter, the
-///   semantic oracle. Slowest; exists to be compared against.
-/// * [`ExecTier::Predecoded`] — the dense 16-byte superinstruction
-///   dispatch loop. Handles every trace configuration.
-/// * [`ExecTier::Compiled`] — the flattened threaded-code backend
-///   ([`crate::compile`]), the default. Covers the recognition-phase
-///   configurations (`off` / `branches_only`); block or snapshot
-///   recording, and programs exceeding the compile budget, silently
-///   fall back to [`ExecTier::Predecoded`] ([`Vm::prepare`] reports
-///   which engine will actually run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecTier {
-    /// The enum-walk oracle interpreter.
-    Reference,
-    /// The dense predecoded dispatch loop.
-    Predecoded,
-    /// The flattened threaded-code tier (with automatic fallback).
-    #[default]
-    Compiled,
-}
+/// Most heap cells (8 bytes each) one run may allocate: 16 MiB. The
+/// heap never frees, so this bounds every `NewArray` of the run
+/// together; exceeding it is [`VmError::HeapCapExceeded`]. Sized as
+/// 1024 times the workloads' measured peak, rounded up to a power of
+/// two (DESIGN.md §14).
+pub const MAX_HEAP_CELLS: usize = 1 << 21;
 
-impl ExecTier {
-    /// Stable wire/CLI name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecTier::Reference => "reference",
-            ExecTier::Predecoded => "predecoded",
-            ExecTier::Compiled => "compiled",
-        }
-    }
+/// Heap cells each array is charged beyond its length: its 24-byte
+/// header.
+const ARRAY_HEADER_CELLS: usize = 3;
 
-    /// Parses a wire/CLI name (the inverse of [`ExecTier::as_str`]).
-    pub fn parse(s: &str) -> Option<ExecTier> {
-        match s {
-            "reference" => Some(ExecTier::Reference),
-            "predecoded" => Some(ExecTier::Predecoded),
-            "compiled" => Some(ExecTier::Compiled),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+/// Most local-variable cells (8 bytes each) live across the call stack
+/// at once: 4 MiB. A call that would pass it is
+/// [`VmError::LocalsCapExceeded`]. Sized as 1024 times the workloads'
+/// measured peak, rounded up to a power of two (DESIGN.md §14).
+pub const MAX_LOCALS_CELLS: usize = 1 << 19;
 
 /// Result of a completed execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,25 +99,15 @@ pub struct RunResult {
 #[derive(Debug)]
 pub struct Vm<'p> {
     program: &'p Program,
-    predecoded: Predecoded,
+    /// The decoded program, until the compile step consumes it (a
+    /// program as large as the Jess-like host would otherwise hold both
+    /// forms, ~1.3 MB each, for the whole run).
+    predecoded: Mutex<Option<Predecoded>>,
     input: Vec<i64>,
     budget: u64,
     trace_config: TraceConfig,
-    tier: ExecTier,
-    compile_budget: usize,
-    /// Lazily-built compiled form (`None` inside = the program exceeded
-    /// the compile budget and the predecoded engine runs instead).
-    compiled: OnceLock<Option<Compiled>>,
-}
-
-/// A suspended caller in the dense engine: base offsets into the shared
-/// operand stack and locals arena (calls allocate nothing).
-#[derive(Clone, Copy)]
-struct DenseFrame {
-    func: FuncId,
-    pc: usize,
-    locals_base: usize,
-    stack_base: usize,
+    /// Lazily-built compiled form, for the trace mode of `trace_config`.
+    compiled: OnceLock<Compiled>,
 }
 
 /// A call frame of the reference engine (per-frame vectors, as the
@@ -170,12 +125,10 @@ impl<'p> Vm<'p> {
     pub fn new(program: &'p Program) -> Self {
         Vm {
             program,
-            predecoded: Predecoded::build(program),
+            predecoded: Mutex::new(Some(Predecoded::build(program))),
             input: Vec::new(),
             budget: DEFAULT_BUDGET,
             trace_config: TraceConfig::off(),
-            tier: ExecTier::default(),
-            compile_budget: DEFAULT_COMPILE_BUDGET,
             compiled: OnceLock::new(),
         }
     }
@@ -196,44 +149,30 @@ impl<'p> Vm<'p> {
     /// Enables trace recording.
     pub fn with_trace(mut self, config: TraceConfig) -> Self {
         self.trace_config = config;
+        // A form compiled already was compiled for the old trace mode.
+        if self.compiled.take().is_some() {
+            self.predecoded = Mutex::new(Some(Predecoded::build(self.program)));
+        }
         self
     }
 
-    /// Selects the execution engine (default [`ExecTier::Compiled`]).
-    pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
-        self.tier = tier;
-        self
+    /// Forces the compile step (normally lazy, on the first run).
+    /// Sessions call this under a telemetry span so compile time is
+    /// observable apart from the run.
+    pub fn prepare(&self) {
+        self.compiled();
     }
 
-    /// Overrides the compile-tier size budget (flattened slots) past
-    /// which [`ExecTier::Compiled`] falls back to the predecoded engine.
-    pub fn with_compile_budget(mut self, slots: usize) -> Self {
-        self.compile_budget = slots;
-        self
-    }
-
-    /// The selected execution tier.
-    pub fn exec_tier(&self) -> ExecTier {
-        self.tier
-    }
-
-    /// Forces the compile step (normally lazy) and reports whether the
-    /// compiled engine will actually execute under the current tier and
-    /// trace configuration — `false` means a fallback to the predecoded
-    /// engine (tier not [`ExecTier::Compiled`], block/snapshot recording
-    /// requested, or the program exceeded the compile budget). Sessions
-    /// call this under a telemetry span so compile time and fallbacks
-    /// are observable.
-    pub fn prepare(&self) -> bool {
-        self.tier == ExecTier::Compiled
-            && self.trace_config.compiled_compatible()
-            && self.compiled().is_some()
-    }
-
-    fn compiled(&self) -> Option<&Compiled> {
-        self.compiled
-            .get_or_init(|| Compiled::build(&self.predecoded, self.compile_budget))
-            .as_ref()
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| {
+            let predecoded = self
+                .predecoded
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("the compile step runs once");
+            Compiled::build(&predecoded, trace_mode(&self.trace_config))
+        })
     }
 
     /// Runs the program's entry function to completion, collecting the
@@ -243,12 +182,10 @@ impl<'p> Vm<'p> {
     ///
     /// Any [`VmError`] runtime fault: stack underflow, division by zero,
     /// bad array access, falling off a function end, budget exhaustion,
-    /// or call-stack overflow. (Attacked programs routinely fault — the
-    /// resilience experiments rely on observing this.)
+    /// call-stack overflow, or a heap or locals cap. (Attacked programs
+    /// routinely fault — the resilience experiments rely on observing
+    /// this.)
     pub fn run(&self) -> Result<Outcome, VmError> {
-        if self.tier == ExecTier::Reference {
-            return self.run_reference();
-        }
         let mut trace = Trace::new();
         let r = self.run_with_sink(&mut trace)?;
         Ok(Outcome {
@@ -264,662 +201,24 @@ impl<'p> Vm<'p> {
     /// the recognition hot path: with a packed-bits sink the whole
     /// trace-to-bitstring pipeline allocates nothing per event.
     ///
-    /// Dispatches to the selected [`ExecTier`]. The default compiled
-    /// tier runs the flattened threaded-code form ([`crate::compile`])
-    /// when the configuration allows it (no block/snapshot recording,
-    /// program within the compile budget) and otherwise falls back to
-    /// the predecoded engine; [`ExecTier::Reference`] runs the oracle
-    /// and replays its collected trace into `sink` afterwards (on a
-    /// fault, events recorded before the fault are not replayed —
-    /// streaming engines deliver those as they happen).
-    ///
     /// # Errors
     ///
     /// As for [`Vm::run`].
     pub fn run_with_sink<S: TraceSink>(&self, sink: &mut S) -> Result<RunResult, VmError> {
-        match self.tier {
-            ExecTier::Reference => {
-                let out = self.run_reference()?;
-                for event in &out.trace.events {
-                    match event {
-                        TraceEvent::EnterBlock { site } => sink.enter_block(*site),
-                        TraceEvent::Branch { site, next } => sink.branch(*site, *next),
-                        TraceEvent::Snapshot { site, data } => {
-                            sink.snapshot(*site, &data.locals, &data.statics)
-                        }
-                    }
-                }
-                Ok(RunResult {
-                    output: out.output,
-                    instructions: out.instructions,
-                    statics: out.statics,
-                })
-            }
-            ExecTier::Predecoded => self.run_predecoded(sink),
-            ExecTier::Compiled => {
-                if !self.trace_config.compiled_compatible() {
-                    return self.run_predecoded(sink);
-                }
-                match self.compiled() {
-                    Some(compiled) if self.trace_config.branches => run_compiled::<S, true>(
-                        compiled,
-                        self.program,
-                        &self.input,
-                        self.budget,
-                        sink,
-                    ),
-                    Some(compiled) => run_compiled::<S, false>(
-                        compiled,
-                        self.program,
-                        &self.input,
-                        self.budget,
-                        sink,
-                    ),
-                    None => self.run_predecoded(sink),
-                }
-            }
-        }
-    }
-
-    /// The dense predecoded dispatch loop: ops are 16 bytes, call
-    /// arities are pre-resolved, per-function state (code, leader flags)
-    /// is re-hoisted only when the frame changes, and all frames share
-    /// one operand stack and one locals arena. Handles every trace
-    /// configuration — the compiled tier's fallback as well as its
-    /// equivalence baseline.
-    fn run_predecoded<S: TraceSink>(&self, sink: &mut S) -> Result<RunResult, VmError> {
-        let pre = &self.predecoded;
-        let mut statics = vec![0i64; self.program.statics.len()];
-        let mut heap: Vec<Vec<i64>> = Vec::new();
-        let mut output = Vec::new();
-        let mut snapshot_counts: std::collections::HashMap<Site, u32> =
-            std::collections::HashMap::new();
-        let mut input_pos = 0usize;
-        let mut executed: u64 = 0;
-        // Hoisted: under `branches_only` (the recognition-phase config)
-        // the per-instruction leader lookup is dead work.
-        let record_leaders = self.trace_config.blocks || self.trace_config.snapshots;
-        let record_branches = self.trace_config.branches;
-
-        let mut stack: Vec<i64> = Vec::with_capacity(64);
-        let mut locals: Vec<i64> = Vec::with_capacity(64);
-        let mut frames: Vec<DenseFrame> = Vec::new();
-
-        let entry = self.program.entry;
-        locals.resize(pre.funcs[entry.0 as usize].num_locals as usize, 0);
-        let mut cur = DenseFrame {
-            func: entry,
-            pc: 0,
-            locals_base: 0,
-            stack_base: 0,
-        };
-
-        'frames: loop {
-            let func = &pre.funcs[cur.func.0 as usize];
-            let code = func.code.as_slice();
-            let leaders = func.leaders.as_slice();
-            loop {
-                let pc = cur.pc;
-                // One bounds check does double duty: `get` both fetches
-                // the op and detects falling off the function end.
-                let Some(&op) = code.get(pc) else {
-                    return Err(VmError::FellOffEnd { func: cur.func });
-                };
-                executed += 1;
-                if executed > self.budget {
-                    return Err(VmError::BudgetExhausted {
-                        budget: self.budget,
-                    });
-                }
-                if record_leaders && leaders[pc] {
-                    let site = Site {
-                        func: cur.func,
-                        pc,
-                    };
-                    if self.trace_config.blocks {
-                        sink.enter_block(site);
-                    }
-                    if self.trace_config.snapshots {
-                        let seen = snapshot_counts.entry(site).or_insert(0);
-                        if self.trace_config.snapshot_limit == 0
-                            || *seen < self.trace_config.snapshot_limit
-                        {
-                            *seen += 1;
-                            sink.snapshot(site, &locals[cur.locals_base..], &statics);
-                        }
-                    }
-                }
-
-                // `pop!(p)` reports an underflow at pc `p` — fused ops
-                // pass the consumed op's original pc so errors are
-                // indistinguishable from the unfused execution.
-                macro_rules! pop {
-                    () => {
-                        pop!(pc)
-                    };
-                    ($err_pc:expr) => {{
-                        if stack.len() <= cur.stack_base {
-                            return Err(VmError::StackUnderflow {
-                                func: cur.func,
-                                pc: $err_pc,
-                            });
-                        }
-                        stack.pop().expect("stack is above the frame base")
-                    }};
-                }
-
-                // Applies a binary operator, reporting a division by
-                // zero at the given pc (fused ops pass the consumed
-                // `Bin`'s original offset).
-                macro_rules! binop {
-                    ($op:expr, $a:expr, $b:expr, $err_pc:expr) => {{
-                        let a: i64 = $a;
-                        let b: i64 = $b;
-                        match $op {
-                            BinOp::Add => a.wrapping_add(b),
-                            BinOp::Sub => a.wrapping_sub(b),
-                            BinOp::Mul => a.wrapping_mul(b),
-                            BinOp::Div => {
-                                if b == 0 {
-                                    return Err(VmError::DivisionByZero {
-                                        func: cur.func,
-                                        pc: $err_pc,
-                                    });
-                                }
-                                a.wrapping_div(b)
-                            }
-                            BinOp::Rem => {
-                                if b == 0 {
-                                    return Err(VmError::DivisionByZero {
-                                        func: cur.func,
-                                        pc: $err_pc,
-                                    });
-                                }
-                                a.wrapping_rem(b)
-                            }
-                            BinOp::And => a & b,
-                            BinOp::Or => a | b,
-                            BinOp::Xor => a ^ b,
-                            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                            BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-                            BinOp::UShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
-                        }
-                    }};
-                }
-
-                // Charges the extra instructions a fused op stands for,
-                // preserving exact budget semantics: work done by the
-                // earlier ops of a fused group is unobservable once the
-                // budget error returns, so one combined check is
-                // equivalent to the reference's per-op checks.
-                macro_rules! charge {
-                    ($extra:expr) => {
-                        executed += $extra;
-                        if executed > self.budget {
-                            return Err(VmError::BudgetExhausted {
-                                budget: self.budget,
-                            });
-                        }
-                    };
-                }
-
-                match op {
-                    Op::Const(v) => {
-                        stack.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Load(n) => {
-                        stack.push(locals[cur.locals_base + n as usize]);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Store(n) => {
-                        let v = pop!();
-                        locals[cur.locals_base + n as usize] = v;
-                        cur.pc = pc + 1;
-                    }
-                    Op::Iinc(n, d) => {
-                        let slot = &mut locals[cur.locals_base + n as usize];
-                        *slot = slot.wrapping_add(d as i64);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Bin(op) => {
-                        let b = pop!();
-                        let a = pop!();
-                        let v = binop!(op, a, b, pc);
-                        stack.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Neg => {
-                        let v = pop!();
-                        stack.push(v.wrapping_neg());
-                        cur.pc = pc + 1;
-                    }
-                    Op::Dup => {
-                        if stack.len() <= cur.stack_base {
-                            return Err(VmError::StackUnderflow {
-                                func: cur.func,
-                                pc,
-                            });
-                        }
-                        let v = *stack.last().expect("stack is above the frame base");
-                        stack.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Pop => {
-                        pop!();
-                        cur.pc = pc + 1;
-                    }
-                    Op::Swap => {
-                        let b = pop!();
-                        let a = pop!();
-                        stack.push(b);
-                        stack.push(a);
-                        cur.pc = pc + 1;
-                    }
-                    Op::GetStatic(s) => {
-                        stack.push(statics[s as usize]);
-                        cur.pc = pc + 1;
-                    }
-                    Op::PutStatic(s) => {
-                        let v = pop!();
-                        statics[s as usize] = v;
-                        cur.pc = pc + 1;
-                    }
-                    Op::NewArray => {
-                        let len = pop!();
-                        if len < 0 {
-                            return Err(VmError::NegativeArrayLength {
-                                func: cur.func,
-                                pc,
-                                len,
-                            });
-                        }
-                        heap.push(vec![0i64; len as usize]);
-                        stack.push(heap.len() as i64 - 1);
-                        cur.pc = pc + 1;
-                    }
-                    Op::ALoad => {
-                        let idx = pop!();
-                        let handle = pop!();
-                        let v = *array(&heap, handle, cur.func, pc)?
-                            .get(idx as usize)
-                            .ok_or(VmError::BadArrayAccess {
-                                func: cur.func,
-                                pc,
-                                value: idx,
-                            })?;
-                        stack.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::AStore => {
-                        let v = pop!();
-                        let idx = pop!();
-                        let handle = pop!();
-                        let func_id = cur.func;
-                        let arr = array_mut(&mut heap, handle, func_id, pc)?;
-                        let slot = arr.get_mut(idx as usize).ok_or(VmError::BadArrayAccess {
-                            func: func_id,
-                            pc,
-                            value: idx,
-                        })?;
-                        *slot = v;
-                        cur.pc = pc + 1;
-                    }
-                    Op::ArrayLen => {
-                        let handle = pop!();
-                        let len = array(&heap, handle, cur.func, pc)?.len() as i64;
-                        stack.push(len);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Goto(t) => cur.pc = t as usize,
-                    Op::If(cond, t) => {
-                        let v = pop!();
-                        let next = if cond.eval(v, 0) { t as usize } else { pc + 1 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::IfCmp(cond, t) => {
-                        let b = pop!();
-                        let a = pop!();
-                        let next = if cond.eval(a, b) { t as usize } else { pc + 1 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::Switch(idx) => {
-                        let v = pop!();
-                        let table = &func.switches[idx as usize];
-                        cur.pc = table
-                            .cases
-                            .iter()
-                            .find(|&&(k, _)| k == v)
-                            .map(|&(_, t)| t)
-                            .unwrap_or(table.default) as usize;
-                    }
-                    Op::Call {
-                        callee,
-                        argc,
-                        num_locals,
-                    } => {
-                        if frames.len() + 1 >= MAX_CALL_DEPTH {
-                            return Err(VmError::CallStackOverflow);
-                        }
-                        let argc = argc as usize;
-                        if stack.len() - cur.stack_base < argc {
-                            return Err(VmError::StackUnderflow {
-                                func: cur.func,
-                                pc,
-                            });
-                        }
-                        // Arguments are already contiguous on the stack
-                        // top; they become the callee's first locals.
-                        let locals_base = locals.len();
-                        let split = stack.len() - argc;
-                        locals.extend_from_slice(&stack[split..]);
-                        locals.resize(locals_base + num_locals as usize, 0);
-                        stack.truncate(split);
-                        cur.pc = pc + 1; // resume after the call on return
-                        frames.push(cur);
-                        cur = DenseFrame {
-                            func: FuncId(callee),
-                            pc: 0,
-                            locals_base,
-                            stack_base: split,
-                        };
-                        continue 'frames;
-                    }
-                    Op::BadCall(f) => {
-                        if frames.len() + 1 >= MAX_CALL_DEPTH {
-                            return Err(VmError::CallStackOverflow);
-                        }
-                        // Unresolvable at predecode time: take the
-                        // reference slow path, which panics exactly
-                        // where the original interpreter would.
-                        let callee = self.program.function(FuncId(f));
-                        let argc = callee.num_params as usize;
-                        if stack.len() - cur.stack_base < argc {
-                            return Err(VmError::StackUnderflow {
-                                func: cur.func,
-                                pc,
-                            });
-                        }
-                        let mut callee_locals = vec![0i64; callee.num_locals as usize];
-                        let split = stack.len() - argc;
-                        for (i, v) in stack.drain(split..).enumerate() {
-                            callee_locals[i] = v;
-                        }
-                        let locals_base = locals.len();
-                        locals.extend_from_slice(&callee_locals);
-                        cur.pc = pc + 1;
-                        frames.push(cur);
-                        cur = DenseFrame {
-                            func: FuncId(f),
-                            pc: 0,
-                            locals_base,
-                            stack_base: split,
-                        };
-                        continue 'frames;
-                    }
-                    Op::Return(with_value) => {
-                        let ret = if with_value { Some(pop!()) } else { None };
-                        stack.truncate(cur.stack_base);
-                        locals.truncate(cur.locals_base);
-                        match frames.pop() {
-                            Some(caller) => {
-                                cur = caller;
-                                if let Some(v) = ret {
-                                    stack.push(v);
-                                }
-                                continue 'frames;
-                            }
-                            None => {
-                                return Ok(RunResult {
-                                    output,
-                                    instructions: executed,
-                                    statics,
-                                });
-                            }
-                        }
-                    }
-                    Op::Print => {
-                        let v = pop!();
-                        output.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::ReadInput => {
-                        let v = self.input.get(input_pos).copied().unwrap_or(0);
-                        input_pos += 1;
-                        stack.push(v);
-                        cur.pc = pc + 1;
-                    }
-                    Op::Nop => cur.pc = pc + 1,
-
-                    // Fused superinstructions: each stands for the two
-                    // (or three) original ops at `pc..`, so it charges
-                    // the extra instructions, reports consumed branch
-                    // sites and error pcs at their original offsets,
-                    // and falls through past the consumed slots.
-                    Op::Load2(a, b) => {
-                        charge!(1);
-                        stack.push(locals[cur.locals_base + a as usize]);
-                        stack.push(locals[cur.locals_base + b as usize]);
-                        cur.pc = pc + 2;
-                    }
-                    Op::LoadConst(n, v) => {
-                        charge!(1);
-                        stack.push(locals[cur.locals_base + n as usize]);
-                        stack.push(v);
-                        cur.pc = pc + 2;
-                    }
-                    Op::StoreLoad(a, b) => {
-                        charge!(1);
-                        let v = pop!();
-                        locals[cur.locals_base + a as usize] = v;
-                        stack.push(locals[cur.locals_base + b as usize]);
-                        cur.pc = pc + 2;
-                    }
-                    Op::StoreGoto(n, t) => {
-                        charge!(1);
-                        let v = pop!();
-                        locals[cur.locals_base + n as usize] = v;
-                        cur.pc = t as usize;
-                    }
-                    Op::LoadIf(n, cond, t) => {
-                        charge!(1);
-                        let v = locals[cur.locals_base + n as usize];
-                        let next = if cond.eval(v, 0) { t as usize } else { pc + 2 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc: pc + 1,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::LoadIfCmp(n, cond, t) => {
-                        charge!(1);
-                        // The load pushed the *second* operand; the
-                        // first comes from beneath it on the stack.
-                        let b = locals[cur.locals_base + n as usize];
-                        let a = pop!(pc + 1);
-                        let next = if cond.eval(a, b) { t as usize } else { pc + 2 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc: pc + 1,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::ConstIfCmp(v, cond, t) => {
-                        charge!(1);
-                        let a = pop!(pc + 1);
-                        let next = if cond.eval(a, v) { t as usize } else { pc + 2 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc: pc + 1,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::IincGoto(n, d, t) => {
-                        charge!(1);
-                        let slot = &mut locals[cur.locals_base + n as usize];
-                        *slot = slot.wrapping_add(d as i64);
-                        cur.pc = t as usize;
-                    }
-                    Op::Load2IfCmp(a, b, cond, t) => {
-                        charge!(2);
-                        let x = locals[cur.locals_base + a as usize];
-                        let y = locals[cur.locals_base + b as usize];
-                        let next = if cond.eval(x, y) { t as usize } else { pc + 3 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc: pc + 2,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::LoadConstIfCmp(n, cond, t, v) => {
-                        charge!(2);
-                        let x = locals[cur.locals_base + n as usize];
-                        let next = if cond.eval(x, v) { t as usize } else { pc + 3 };
-                        if record_branches {
-                            sink.branch(
-                                Site {
-                                    func: cur.func,
-                                    pc: pc + 2,
-                                },
-                                next,
-                            );
-                        }
-                        cur.pc = next;
-                    }
-                    Op::ConstBin(v, op) => {
-                        charge!(1);
-                        let a = pop!(pc + 1);
-                        let r = binop!(op, a, v, pc + 1);
-                        stack.push(r);
-                        cur.pc = pc + 2;
-                    }
-                    Op::LoadBin(n, op) => {
-                        charge!(1);
-                        let b = locals[cur.locals_base + n as usize];
-                        let a = pop!(pc + 1);
-                        let r = binop!(op, a, b, pc + 1);
-                        stack.push(r);
-                        cur.pc = pc + 2;
-                    }
-                    Op::BinConst(op, v) => {
-                        charge!(1);
-                        let b = pop!();
-                        let a = pop!();
-                        let r = binop!(op, a, b, pc);
-                        stack.push(r);
-                        stack.push(v);
-                        cur.pc = pc + 2;
-                    }
-                    Op::Bin2(op1, op2) => {
-                        charge!(1);
-                        let b = pop!();
-                        let a = pop!();
-                        let r1 = binop!(op1, a, b, pc);
-                        let c = pop!(pc + 1);
-                        let r2 = binop!(op2, c, r1, pc + 1);
-                        stack.push(r2);
-                        cur.pc = pc + 2;
-                    }
-                    Op::BinStore(op, n) => {
-                        charge!(1);
-                        let b = pop!();
-                        let a = pop!();
-                        let r = binop!(op, a, b, pc);
-                        locals[cur.locals_base + n as usize] = r;
-                        cur.pc = pc + 2;
-                    }
-                    Op::StoreIinc(n, m, d) => {
-                        charge!(1);
-                        let v = pop!();
-                        locals[cur.locals_base + n as usize] = v;
-                        let slot = &mut locals[cur.locals_base + m as usize];
-                        *slot = slot.wrapping_add(d as i64);
-                        cur.pc = pc + 2;
-                    }
-                    Op::IincLoad(n, d, m) => {
-                        charge!(1);
-                        let slot = &mut locals[cur.locals_base + n as usize];
-                        *slot = slot.wrapping_add(d as i64);
-                        stack.push(locals[cur.locals_base + m as usize]);
-                        cur.pc = pc + 2;
-                    }
-                    Op::Load2Bin(a, b, op) => {
-                        charge!(2);
-                        let x = locals[cur.locals_base + a as usize];
-                        let y = locals[cur.locals_base + b as usize];
-                        let r = binop!(op, x, y, pc + 2);
-                        stack.push(r);
-                        cur.pc = pc + 3;
-                    }
-                    Op::LoadConstBin(n, op, v) => {
-                        charge!(2);
-                        let x = locals[cur.locals_base + n as usize];
-                        let r = binop!(op, x, v, pc + 2);
-                        stack.push(r);
-                        cur.pc = pc + 3;
-                    }
-                    Op::Load2BinStore(a, b, op, d) => {
-                        charge!(3);
-                        let x = locals[cur.locals_base + a as usize];
-                        let y = locals[cur.locals_base + b as usize];
-                        let r = binop!(op, x, y, pc + 2);
-                        locals[cur.locals_base + d as usize] = r;
-                        cur.pc = pc + 4;
-                    }
-                    Op::LoadConstBinStore(n, op, d, v) => {
-                        charge!(3);
-                        let x = locals[cur.locals_base + n as usize];
-                        let r = binop!(op, x, v, pc + 2);
-                        locals[cur.locals_base + d as usize] = r;
-                        cur.pc = pc + 4;
-                    }
-                }
-            }
+        let compiled = self.compiled();
+        let (program, input, budget, config) =
+            (self.program, &self.input, self.budget, &self.trace_config);
+        match trace_mode(config) {
+            OFF => run_compiled::<S, OFF>(compiled, program, input, budget, config, sink),
+            BRANCHES => run_compiled::<S, BRANCHES>(compiled, program, input, budget, config, sink),
+            _ => run_compiled::<S, FULL>(compiled, program, input, budget, config, sink),
         }
     }
 
     /// The original enum-dispatch interpreter, preserved as the semantic
-    /// oracle: the `predecoded_engine_matches_reference` property test
+    /// oracle: the `compiled_engine_matches_reference` property test
     /// asserts [`Vm::run`] agrees with it — outcome, trace, and error —
-    /// over randomized programs.
+    /// under every trace mode over randomized programs.
     ///
     /// # Errors
     ///
@@ -928,6 +227,7 @@ impl<'p> Vm<'p> {
         let cfgs: Vec<Cfg> = self.program.functions.iter().map(Cfg::build).collect();
         let mut statics = vec![0i64; self.program.statics.len()];
         let mut heap: Vec<Vec<i64>> = Vec::new();
+        let mut heap_cells: usize = 0;
         let mut output = Vec::new();
         let mut trace = Trace::new();
         let mut snapshot_counts: std::collections::HashMap<Site, u32> =
@@ -937,6 +237,9 @@ impl<'p> Vm<'p> {
         let record_leaders = self.trace_config.blocks || self.trace_config.snapshots;
 
         let entry_fn = self.program.function(self.program.entry);
+        // Locals cells live across all frames (the compiled engine's
+        // locals arena length).
+        let mut live_locals = entry_fn.num_locals as usize;
         let mut frames = vec![Frame {
             func: self.program.entry,
             pc: 0,
@@ -1091,6 +394,7 @@ impl<'p> Vm<'p> {
                             len,
                         });
                     }
+                    heap_cells = heap_charge(heap_cells, len, frame.func, pc)?;
                     heap.push(vec![0i64; len as usize]);
                     frame.stack.push(heap.len() as i64 - 1);
                     frame.pc += 1;
@@ -1179,6 +483,8 @@ impl<'p> Vm<'p> {
                             pc,
                         });
                     }
+                    live_locals =
+                        locals_charge(live_locals, callee.num_locals as usize, frame.func, pc)?;
                     let mut locals = vec![0i64; callee.num_locals as usize];
                     let split = frame.stack.len() - argc;
                     for (i, v) in frame.stack.drain(split..).enumerate() {
@@ -1194,6 +500,7 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Return(with_value) => {
                     let ret = if *with_value { Some(pop!()) } else { None };
+                    live_locals -= frame.locals.len();
                     frames.pop();
                     match frames.last_mut() {
                         Some(caller) => {
@@ -1229,7 +536,37 @@ impl<'p> Vm<'p> {
     }
 }
 
-fn array(
+/// Charges a `NewArray` of `len` cells against [`MAX_HEAP_CELLS`],
+/// given the `used` cells the run has allocated so far; returns the new
+/// total. An array costs its cells plus the [`ARRAY_HEADER_CELLS`] of
+/// its handle, so zero-length arrays are not free. Both engines call
+/// it, so the fault is identical on each.
+#[inline]
+pub(crate) fn heap_charge(used: usize, len: i64, func: FuncId, pc: usize) -> Result<usize, VmError> {
+    match usize::try_from(len) {
+        Ok(len) if len + ARRAY_HEADER_CELLS <= MAX_HEAP_CELLS - used => {
+            Ok(used + len + ARRAY_HEADER_CELLS)
+        }
+        _ => Err(VmError::HeapCapExceeded { func, pc, len }),
+    }
+}
+
+/// Charges a callee frame of `frame` cells against [`MAX_LOCALS_CELLS`],
+/// given the `live` locals cells below it; returns the new total.
+#[inline]
+pub(crate) fn locals_charge(
+    live: usize,
+    frame: usize,
+    func: FuncId,
+    pc: usize,
+) -> Result<usize, VmError> {
+    if frame > MAX_LOCALS_CELLS - live {
+        return Err(VmError::LocalsCapExceeded { func, pc });
+    }
+    Ok(live + frame)
+}
+
+pub(crate) fn array(
     heap: &[Vec<i64>],
     handle: i64,
     func: FuncId,
@@ -1245,7 +582,7 @@ fn array(
         })
 }
 
-fn array_mut(
+pub(crate) fn array_mut(
     heap: &mut [Vec<i64>],
     handle: i64,
     func: FuncId,
@@ -1692,16 +1029,16 @@ mod tests {
         }
     }
 
-    /// The cross-tier equivalence property: over randomized programs
-    /// (faults included), all three execution tiers produce identical
-    /// outcomes — output, instruction counts, trace events, final
-    /// statics — and identical `VmError`s with identical error offsets,
-    /// including mid-trace faults under every configuration.
+    /// The engine equivalence property: over randomized programs
+    /// (faults included), the compiled engine and the reference
+    /// interpreter produce identical outcomes — output, instruction
+    /// counts, trace events, final statics — and identical `VmError`s
+    /// with identical error offsets, under every trace mode: off,
+    /// branches only, and full (blocks, branches and capped snapshots).
     #[test]
     fn execution_tiers_match_reference() {
         let mut rng = XorShift(0x5EED_CAFE_F00D_0001);
         let mut completed = 0u32;
-        let mut compiled_active = 0u32;
         for _ in 0..150 {
             let p = random_program(&mut rng);
             let input: Vec<i64> = (0..4).map(|_| rng.next() as i64 % 50).collect();
@@ -1709,59 +1046,125 @@ mod tests {
                 TraceConfig::off(),
                 TraceConfig::branches_only(),
                 TraceConfig::full(),
+                TraceConfig {
+                    snapshot_limit: 1,
+                    ..TraceConfig::full()
+                },
             ] {
-                let vm = |tier: ExecTier| {
-                    Vm::new(&p)
-                        .with_input(input.clone())
-                        .with_budget(50_000)
-                        .with_trace(config)
-                        .with_exec_tier(tier)
-                };
-                let reference = vm(ExecTier::Reference).run();
-                let dense = vm(ExecTier::Predecoded).run();
-                let compiled_vm = vm(ExecTier::Compiled);
-                if compiled_vm.prepare() {
-                    compiled_active += 1;
-                }
-                let compiled = compiled_vm.run();
-                assert_eq!(dense, reference, "predecoded diverged on {p:?}");
-                assert_eq!(compiled, reference, "compiled diverged on {p:?}");
+                let vm = Vm::new(&p)
+                    .with_input(input.clone())
+                    .with_budget(50_000)
+                    .with_trace(config);
+                let reference = vm.run_reference();
+                assert_eq!(vm.run(), reference, "compiled diverged on {p:?}");
                 if reference.is_ok() {
                     completed += 1;
                 }
             }
         }
         // The generator must exercise the success path too, not just
-        // agree on faults — and the compiled engine must actually have
-        // run (not silently fallen back everywhere).
+        // agree on faults.
         assert!(completed > 50, "only {completed} runs completed");
-        assert!(
-            compiled_active > 100,
-            "compiled tier only active {compiled_active} times"
+    }
+
+    #[test]
+    fn programs_past_the_old_compile_budget_compile_and_match_reference() {
+        // 70,000 slots: past the 65,536-slot budget past which the
+        // compiled engine used to decline, so every trace mode now
+        // compiles it, and agrees with the oracle.
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 1);
+        for i in 0..14_000 {
+            let skip = f.new_label();
+            f.load(0).push(i % 7).if_cmp(Cond::Lt, skip);
+            f.iinc(0, 1);
+            f.bind(skip);
+            f.iinc(0, 2);
+        }
+        f.load(0).print().ret_void();
+        let main = pb.add_function(f.finish().unwrap());
+        let p = pb.finish(main).unwrap();
+        assert!(p.functions[0].code.len() > 1 << 16);
+        for config in [TraceConfig::branches_only(), TraceConfig::full()] {
+            let vm = Vm::new(&p).with_trace(config);
+            vm.prepare();
+            assert_eq!(vm.run(), vm.run_reference());
+        }
+    }
+
+    #[test]
+    fn changing_the_trace_after_the_compile_step_recompiles() {
+        let p = gcd_program();
+        let vm = Vm::new(&p).with_trace(TraceConfig::branches_only());
+        vm.prepare();
+        let vm = vm.with_trace(TraceConfig::full());
+        assert_eq!(vm.run(), vm.run_reference());
+    }
+
+    /// Runs `p` on both engines and checks they fail alike with `want`.
+    fn both_fail_with(p: &Program, want: VmError) {
+        let vm = Vm::new(p);
+        assert_eq!(vm.run(), Err(want.clone()), "compiled");
+        assert_eq!(vm.run_reference(), Err(want), "reference");
+    }
+
+    #[test]
+    fn a_huge_array_hits_the_heap_cap_on_both_engines() {
+        // Five instructions that would ask for 8 TiB.
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 0);
+        f.push(1 << 40).new_array().pop().ret_void();
+        let main = pb.add_function(f.finish().unwrap());
+        let p = pb.finish(main).unwrap();
+        both_fail_with(
+            &p,
+            VmError::HeapCapExceeded {
+                func: main,
+                pc: 1,
+                len: 1 << 40,
+            },
         );
     }
 
     #[test]
-    fn compiled_tier_falls_back_over_the_compile_budget() {
-        let p = gcd_program();
-        let vm = Vm::new(&p)
-            .with_trace(TraceConfig::branches_only())
-            .with_compile_budget(2);
-        assert!(!vm.prepare(), "a 2-slot budget cannot hold gcd");
-        let fallback = vm.run().unwrap();
-        let reference = Vm::new(&p)
-            .with_trace(TraceConfig::branches_only())
-            .with_exec_tier(ExecTier::Reference)
-            .run()
-            .unwrap();
-        assert_eq!(fallback, reference, "fallback stays bit-identical");
+    fn a_loop_of_moderate_arrays_crosses_the_heap_cap_on_both_engines() {
+        // Each array is a quarter of the cap plus one cell, so the
+        // fourth allocation is the first past it.
+        let len = (MAX_HEAP_CELLS / 4 + 1) as i64;
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 1);
+        let head = f.new_label();
+        f.bind(head);
+        f.push(len).new_array().pop(); // pcs 0..=2
+        f.iinc(0, 1).load(0).push(10).if_cmp(Cond::Lt, head);
+        f.ret_void();
+        let main = pb.add_function(f.finish().unwrap());
+        let p = pb.finish(main).unwrap();
+        both_fail_with(&p, VmError::HeapCapExceeded { func: main, pc: 1, len });
+        // Three of them fit.
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 0);
+        for _ in 0..3 {
+            f.push(len).new_array().pop();
+        }
+        f.ret_void();
+        let main = pb.add_function(f.finish().unwrap());
+        let p = pb.finish(main).unwrap();
+        assert_eq!(Vm::new(&p).run().map(|o| o.output), Ok(vec![]));
+        assert_eq!(Vm::new(&p).run_reference().map(|o| o.output), Ok(vec![]));
+    }
 
-        // Under block/snapshot recording the compiled tier declines too.
-        let full = Vm::new(&p).with_trace(TraceConfig::full());
-        assert!(!full.prepare());
-        // But within budget and branches-only, it engages.
-        let fast = Vm::new(&p).with_trace(TraceConfig::branches_only());
-        assert!(fast.prepare());
-        assert_eq!(fast.run().unwrap(), reference);
+    #[test]
+    fn deep_recursion_through_a_wide_frame_hits_the_locals_cap_on_both_engines() {
+        // Every frame holds u16::MAX locals, so the cap stops the
+        // recursion long before the call-depth limit.
+        let mut pb = ProgramBuilder::new();
+        let id = pb.declare_function("wide");
+        let mut f = FunctionBuilder::new("wide", 0, u16::MAX);
+        f.call(id).ret_void();
+        pb.set_function(id, f.finish().unwrap());
+        let p = pb.finish(id).unwrap();
+        assert!(MAX_LOCALS_CELLS / usize::from(u16::MAX) < MAX_CALL_DEPTH);
+        both_fail_with(&p, VmError::LocalsCapExceeded { func: id, pc: 0 });
     }
 }

@@ -70,5 +70,4 @@ pub mod verify;
 mod error;
 
 pub use error::VmError;
-pub use interp::ExecTier;
 pub use program::{FuncId, Function, Program, StaticId};

@@ -189,27 +189,26 @@ fn predecode_function(func: &Function, program: &Program) -> PreFunction {
     // to n keeps that behavior while letting targets live in a u32.
     let clamp = |t: usize| -> u32 { t.min(n) as u32 };
 
+    // One pass marks block leaders (same definition as
+    // [`crate::cfg::Cfg::is_leader`]) and translates the ops; fusion
+    // below needs the finished leader flags.
     let mut leaders = vec![false; n];
     if n > 0 {
         leaders[0] = true;
     }
+    let mut switches = Vec::new();
+    let mut code: Vec<Op> = Vec::with_capacity(n);
     for (pc, insn) in func.code.iter().enumerate() {
-        for t in insn.targets() {
+        insn.for_each_target(|t| {
             if t < n {
                 leaders[t] = true;
             }
-        }
+        });
         let ends_block = insn.is_branch() || matches!(insn, Insn::Return(_));
         if ends_block && pc + 1 < n {
             leaders[pc + 1] = true;
         }
-    }
-
-    let mut switches = Vec::new();
-    let mut code: Vec<Op> = func
-        .code
-        .iter()
-        .map(|insn| match insn {
+        code.push(match insn {
             Insn::Const(v) => Op::Const(*v),
             Insn::Load(i) => Op::Load(u32::from(*i)),
             Insn::Store(i) => Op::Store(u32::from(*i)),
@@ -247,8 +246,8 @@ fn predecode_function(func: &Function, program: &Program) -> PreFunction {
             Insn::Print => Op::Print,
             Insn::ReadInput => Op::ReadInput,
             Insn::Nop => Op::Nop,
-        })
-        .collect();
+        });
+    }
     fuse_pairs(&mut code, &leaders);
 
     PreFunction {

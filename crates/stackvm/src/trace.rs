@@ -109,14 +109,6 @@ impl TraceConfig {
     pub fn any(&self) -> bool {
         self.blocks || self.branches || self.snapshots
     }
-
-    /// Whether the compiled execution tier covers this configuration.
-    /// The threaded-code backend handles the recognition-phase configs
-    /// (`off` / `branches_only`); block and snapshot recording need the
-    /// leader bitmap and stay on the predecoded engine.
-    pub fn compiled_compatible(&self) -> bool {
-        !self.blocks && !self.snapshots
-    }
 }
 
 /// The recorded execution trace.

@@ -1,6 +1,6 @@
 //! End-to-end tests for the batch fingerprinting engine: determinism
-//! across runs and worker counts, sharded-vs-serial recognizer
-//! equivalence on the pipeline fixtures, and failure isolation.
+//! across runs and worker counts, recognition of every pipeline
+//! fixture, and failure isolation.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,7 +18,6 @@ use pathmark::fleet::faults::{Fault, FaultPlan};
 use pathmark::fleet::manifest::{parse_report, EmbedJobSpec, JobReport, JobStatus, ReportWriter};
 use pathmark::fleet::pool::WorkerPool;
 use pathmark::fleet::retry::RetryPolicy;
-use pathmark::fleet::shard::recognize_sharded;
 use pathmark::telemetry::{Counter, MemorySink, Telemetry};
 use pathmark::vm::builder::{FunctionBuilder, ProgramBuilder};
 use pathmark::vm::codec::encode_program;
@@ -167,8 +166,7 @@ fn batch_copies_match_the_serial_embedder_exactly() {
 }
 
 #[test]
-fn sharded_recognition_is_bit_identical_on_every_pipeline_fixture() {
-    let pool = WorkerPool::new(4);
+fn every_pipeline_fixture_recognizes_serially() {
     for workload in workloads::all() {
         let key = WatermarkKey::new(0x0123_4567_89AB, workload.secret_input.clone());
         let config = JavaConfig::for_watermark_bits(128).with_pieces(40);
@@ -180,23 +178,18 @@ fn sharded_recognition_is_bit_identical_on_every_pipeline_fixture() {
             .unwrap();
         let session = Recognizer::builder(key.clone(), config.clone()).build().unwrap();
         for program in [&workload.program, &marked.program] {
+            // The one-pass recognition and the scan of the stored trace
+            // bits agree.
             let trace =
                 trace_program(program, &key, &config, TraceConfig::branches_only()).unwrap();
-            let bits = BitString::from_trace(&trace);
-            let serial: Recognition = session.recognize_bits(&bits).unwrap();
-            for shards in [1usize, 5, 16] {
-                let sharded = recognize_sharded(&bits, &session, shards, &pool).unwrap();
-                assert_eq!(
-                    sharded, serial,
-                    "{}: {shards} shards diverged",
-                    workload.name
-                );
-            }
+            let stored: Recognition = session
+                .recognize_bits(&BitString::from_trace(&trace))
+                .unwrap();
+            let fused = session.recognize(program).unwrap();
+            assert_eq!(fused, stored, "{}", workload.name);
         }
-        // Sanity: the marked fixture actually recognizes.
-        let trace =
-            trace_program(&marked.program, &key, &config, TraceConfig::branches_only()).unwrap();
-        let rec = recognize_sharded(&BitString::from_trace(&trace), &session, 8, &pool).unwrap();
+        // The marked fixture actually recognizes.
+        let rec = session.recognize(&marked.program).unwrap();
         assert_eq!(rec.watermark.as_ref(), Some(watermark.value()), "{}", workload.name);
     }
 }

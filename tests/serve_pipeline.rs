@@ -73,8 +73,6 @@ fn open_line(tenant: &str) -> String {
         bits: 64,
         pieces: Some(12),
         cache_cap: None,
-        tier: None,
-        scan_mode: None,
     }
     .to_line()
 }
@@ -1207,42 +1205,75 @@ fn a_poisoned_response_writer_is_recovered_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "tcp")]
 #[test]
-fn tcp_transport_round_trips_and_shuts_down() {
-    let dir = temp_dir("tcp");
-    let host_path = write_host(&dir);
-    let marked_dir = dir.join("marked").to_str().unwrap().to_string();
+fn opens_differing_only_in_retired_engine_fields_are_one_warm_session() {
+    // Older clients may still send `tier` / `scan_mode`: they select
+    // nothing now, so they must neither fail the open nor split the
+    // tenant's warm identity.
+    let dir = temp_dir("retired");
+    let (server, sink) = metered_server(&dir);
+    let capture = Capture::default();
+    let plain = open_line("acme");
+    let with = |field: &str| format!("{},{field}}}", plain.strip_suffix('}').unwrap());
+    let responses = drive(
+        &server,
+        &capture,
+        &[
+            plain.clone(),
+            with("\"tier\":\"predecoded\""),
+            with("\"scan_mode\":\"two-phase\""),
+        ],
+    );
+    let warm: Vec<String> = responses.iter().map(|r| Capture::field(r, "warm")).collect();
+    assert_eq!(warm, ["miss", "hit", "hit"], "{responses:?}");
+    assert_eq!(sink.counter(Counter::SessionMiss), 1);
+    assert_eq!(sink.counter(Counter::SessionHit), 2);
+    server.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn copies_past_the_vm_memory_caps_fail_and_the_daemon_answers_a_ping() {
+    // Two hostile copies: one asks for a 2^40-cell array (8 TiB), one
+    // recurses through frames of u16::MAX locals. Without the caps
+    // either aborts the process, and every tenant with it.
+    let dir = temp_dir("hostile");
+    let mut pb = ProgramBuilder::new();
+    let mut f = FunctionBuilder::new("main", 0, 0);
+    f.push(1 << 40).new_array().pop().ret_void();
+    let main = pb.add_function(f.finish().unwrap());
+    let huge = pb.finish(main).unwrap();
+    let mut pb = ProgramBuilder::new();
+    let id = pb.declare_function("wide");
+    let mut f = FunctionBuilder::new("wide", 0, u16::MAX);
+    f.call(id).ret_void();
+    pb.set_function(id, f.finish().unwrap());
+    let wide = pb.finish(id).unwrap();
+    let mut lines = vec![open_line("acme")];
+    for (name, program) in [("huge", &huge), ("wide", &wide)] {
+        let path = dir.join(format!("{name}.pmvm"));
+        std::fs::write(&path, encode_program(program)).unwrap();
+        lines.push(recognize_line(
+            "acme",
+            EmbedJobSpec::new(name),
+            path.to_str().unwrap(),
+        ));
+    }
     let server = Server::new(ServeOptions::new(dir.join("journal/serve"))).unwrap();
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_tcp_listener(listener));
-        let client = std::net::TcpStream::connect(addr).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut requests = client.try_clone().unwrap();
-        let mut responses = BufReader::new(client);
-        for request in [
-            open_line("acme"),
-            embed_line("acme", "copy-000", &host_path, &marked_dir),
-        ] {
-            requests.write_all(request.as_bytes()).unwrap();
-            requests.write_all(b"\n").unwrap();
-        }
-        let mut line = String::new();
-        for _ in 0..2 {
-            line.clear();
-            responses.read_line(&mut line).unwrap();
-            assert_eq!(Capture::field(line.trim(), "status"), "ok", "{line}");
-        }
-        requests.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-        line.clear();
-        responses.read_line(&mut line).unwrap();
-        assert_eq!(Capture::field(line.trim(), "op"), "shutdown");
-        daemon.join().unwrap().unwrap();
-    });
-    assert!(dir.join("marked/copy-000.pmvm").exists());
+    let capture = Capture::default();
+    let responses = drive(&server, &capture, &lines);
+    for (name, cap) in [("huge", "heap cap"), ("wide", "locals cap")] {
+        let answer = responses
+            .iter()
+            .find(|r| r.contains(&format!("\"job_id\":\"{name}\"")))
+            .unwrap_or_else(|| panic!("no answer for {name}: {responses:?}"));
+        let status = Capture::field(answer, "status");
+        assert!(status.starts_with("failed: ") && status.contains(cap), "{answer}");
+    }
+    // The daemon is still up.
+    let pong = drive(&server, &capture, &["{\"op\":\"ping\"}".to_string()]);
+    assert_eq!(Capture::field(&pong[0], "op"), "ping");
+    assert_eq!(Capture::field(&pong[0], "status"), "ok");
+    server.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,6 @@ use pathmark::fleet::batch::embed_batch;
 use pathmark::fleet::cache::TraceCache;
 use pathmark::fleet::manifest::EmbedJobSpec;
 use pathmark::fleet::pool::WorkerPool;
-use pathmark::fleet::shard::recognize_program_sharded;
 use pathmark::telemetry::{Counter, JsonlSink, MemorySink, Stage, Telemetry};
 use pathmark::vm::builder::{FunctionBuilder, ProgramBuilder};
 use pathmark::vm::codec::encode_program;
@@ -97,12 +96,6 @@ fn pipeline_output_is_bit_identical_under_null_and_jsonl_sinks() {
     assert_eq!(rec_plain, rec_traced);
     assert_eq!(rec_plain.watermark.as_ref(), Some(watermark.value()));
 
-    // A sharded recognition adds the merge stage to the same stream.
-    let pool = WorkerPool::new(4);
-    let rec_sharded =
-        recognize_program_sharded(&marked_traced.program, &traced_recognizer, 4, &pool).unwrap();
-    assert_eq!(rec_sharded.watermark.as_ref(), Some(watermark.value()));
-
     telemetry.flush();
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     for stage in [
@@ -112,7 +105,6 @@ fn pipeline_output_is_bit_identical_under_null_and_jsonl_sinks() {
         "scan_roll",
         "scan_decrypt",
         "vote",
-        "merge",
     ] {
         assert!(
             text.contains(&format!("\"stage\":\"{stage}\"")),
