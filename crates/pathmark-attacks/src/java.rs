@@ -20,7 +20,7 @@ pub fn insert_random_branches(program: &mut Program, count: usize, seed: u64) {
         let func_idx = rng.index(program.functions.len());
         let func = &mut program.functions[func_idx];
         let x = if func.num_locals == 0 {
-            reserve_locals(func, 1)
+            reserve_locals(func, 1).expect("a function without locals has room for one")
         } else {
             rng.index(func.num_locals as usize) as u16
         };

@@ -345,7 +345,8 @@ pub fn comparison_matrix(quick: bool) -> Vec<ComparisonRow> {
                 // frequency-based marks), plus bogus branches.
                 let entry = p.entry;
                 let f = p.function_mut(entry);
-                let scratch = stackvm::edit::reserve_locals(f, 1);
+                let scratch = stackvm::edit::reserve_locals(f, 1)
+                    .expect("the entry function has a free local");
                 let mut flood = Vec::new();
                 for _ in 0..64 {
                     for op in pathmark_core::baseline::stern_frequency::CARRIERS {

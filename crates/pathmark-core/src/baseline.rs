@@ -248,7 +248,8 @@ pub mod stern_frequency {
     pub fn embed(program: &mut Program, chips: [bool; 4], strength: usize) {
         let main = program.entry;
         let f = program.function_mut(main);
-        let scratch = stackvm::edit::reserve_locals(f, 1);
+        let scratch =
+            stackvm::edit::reserve_locals(f, 1).expect("the entry function has a free local");
         let mut snippet = Vec::new();
         for (i, &chip) in chips.iter().enumerate() {
             if !chip {
@@ -393,7 +394,7 @@ mod tests {
         // Attack: insert redundant carrier instructions (Section 6:
         // "easily subverted by inserting redundant instructions").
         let f = marked.function_mut(marked.entry);
-        let scratch = stackvm::edit::reserve_locals(f, 1);
+        let scratch = stackvm::edit::reserve_locals(f, 1).unwrap();
         let mut flood = Vec::new();
         for _ in 0..40 {
             for op in stern_frequency::CARRIERS {

@@ -136,6 +136,16 @@ pub enum WatermarkError {
     },
     /// The traced program offered no usable insertion points.
     NoInsertionPoint,
+    /// A piece's fresh locals would take a function's local count past
+    /// `u16::MAX`.
+    TooManyLocals {
+        /// The function chosen to host the piece.
+        func_name: String,
+        /// Its local count when the piece was placed.
+        num_locals: u16,
+        /// The locals the piece needed.
+        extra: u16,
+    },
     /// Not enough legal call-site slots to thread the native watermark.
     InsufficientSlots {
         /// Bits that still needed placing when slots ran out.
@@ -166,6 +176,15 @@ impl fmt::Display for WatermarkError {
             WatermarkError::NoInsertionPoint => {
                 write!(f, "trace contains no usable insertion point")
             }
+            WatermarkError::TooManyLocals {
+                func_name,
+                num_locals,
+                extra,
+            } => write!(
+                f,
+                "function `{func_name}` has {num_locals} locals: no room for the \
+                 {extra} a watermark piece needs"
+            ),
             WatermarkError::InsufficientSlots { remaining_bits } => write!(
                 f,
                 "ran out of legal call-site slots with {remaining_bits} bits unplaced"

@@ -22,17 +22,24 @@
 //! probability inversely proportional to the block's execution frequency
 //! ("code is less likely to be inserted in program hotspots").
 
+use std::collections::HashMap;
+
 use pathmark_crypto::Prng;
 use pathmark_math::crt::Statement;
 use pathmark_telemetry::{Counter, Stage};
-use stackvm::edit::{insert_snippet, reserve_locals};
+use stackvm::edit::{reserve_locals, splice_snippets};
 use stackvm::insn::{BinOp, Cond, Insn};
-use stackvm::trace::{Site, Trace, TraceConfig};
+use stackvm::program::encoded_size;
+use stackvm::trace::{Site, Trace, TraceConfig, TraceEvent};
 use stackvm::Program;
 
 use super::{CodegenPolicy, Embedder};
+use crate::hash::FxBuildHasher;
 use crate::key::Watermark;
 use crate::WatermarkError;
+
+#[cfg(test)]
+mod reference;
 
 /// How one piece was inserted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +125,11 @@ impl Embedder {
     /// * [`WatermarkError::WatermarkTooLarge`] if `W ≥ Π p_k`;
     /// * [`WatermarkError::NoInsertionPoint`] if the trace visited no
     ///   blocks;
-    /// * [`WatermarkError::Math`] for prime-configuration errors.
+    /// * [`WatermarkError::TooManyLocals`] if a piece's fresh locals do
+    ///   not fit in the function chosen to host it;
+    /// * [`WatermarkError::Math`] for prime-configuration errors;
+    /// * [`WatermarkError::TraceFailed`] with a [`stackvm::VmError::Verify`]
+    ///   if the marked program does not verify (a host that did not).
     pub fn embed_with_trace(
         &self,
         program: &Program,
@@ -154,24 +165,20 @@ impl Embedder {
         // Condition codegen (Section 3.2.2) additionally needs "locations
         // that are executed multiple times on the secret input sequence",
         // so keep a second pool restricted to multi-visit blocks.
-        let visited = trace.visited_blocks();
-        if visited.is_empty() && !pieces.is_empty() {
+        let blocks = VisitedBlocks::new(trace);
+        if blocks.0.is_empty() && !pieces.is_empty() {
             return Err(WatermarkError::NoInsertionPoint);
         }
-        let weights: Vec<f64> = visited.iter().map(|&(_, c)| 1.0 / c as f64).collect();
+        let all = Pool::new(&blocks, |_| true);
         // Multi-visit yet still infrequent (the hotspot-avoidance policy
         // applies to both generators).
-        let multi_weights: Vec<f64> = visited
-            .iter()
-            .map(|&(_, c)| if (2..=16).contains(&c) { 1.0 / c as f64 } else { 0.0 })
-            .collect();
+        let multi = Pool::new(&blocks, |visits| (2..=16).contains(&visits));
 
-        // Plan all insertions against the ORIGINAL program, then apply
-        // them per function in descending pc order so earlier splices do
-        // not invalidate later pcs.
+        // Plan all insertions against the ORIGINAL program, then rebuild
+        // each touched function once from its plans.
         let mut marked = program.clone();
-        let mut plans: Vec<(Site, Vec<Insn>, bool)> = Vec::new();
-        let mut records = Vec::new();
+        let mut plans: Vec<(Site, Vec<Insn>)> = Vec::with_capacity(pieces.len());
+        let mut records = Vec::with_capacity(pieces.len());
         for statement in pieces {
             // Step B: enumerate + encrypt into one 64-bit block.
             let block = self.telemetry.time(Stage::Encrypt, || {
@@ -187,36 +194,35 @@ impl Embedder {
                     CodegenPolicy::PreferCondition => true,
                     CodegenPolicy::Mixed => rng.chance(0.5),
                 };
-                let pool = if want_condition {
-                    &multi_weights
-                } else {
-                    &weights
-                };
-                let choice = rng
-                    .weighted_index(pool)
-                    .or_else(|| rng.weighted_index(&weights))
-                    .expect("visited set is non-empty");
-                let (site, _count) = visited[choice];
-
+                let pool = if want_condition { &multi } else { &all };
+                let chosen = &blocks.0[pool
+                    .draw(&mut rng)
+                    .or_else(|| all.draw(&mut rng))
+                    .expect("visited set is non-empty")];
+                let site = chosen.site;
                 let func = marked.function_mut(site.func);
-                let snippet = if want_condition {
-                    condition_snippet(func, trace, site, block, &mut rng)
-                } else {
-                    None
+                let snippet = match (want_condition, chosen.snapshots) {
+                    (true, [Some(v1), Some(v2)]) => {
+                        condition_snippet(func, v1, v2, block, &mut rng)
+                    }
+                    _ => None,
                 };
                 match snippet {
-                    Some(s) => (site, s, true),
+                    Some(s) => Ok((site, s, true)),
                     None => {
-                        let locals = reserve_locals(func, 4);
-                        (
-                            site,
-                            loop_snippet(block, locals, pick_live_local(func, &mut rng), &mut rng),
-                            false,
-                        )
+                        let Some(scratch) = reserve_locals(func, 4) else {
+                            return Err(WatermarkError::TooManyLocals {
+                                func_name: func.name.clone(),
+                                num_locals: func.num_locals,
+                                extra: 4,
+                            });
+                        };
+                        let live = pick_live_local(func, &mut rng);
+                        Ok((site, loop_snippet(block, scratch, live, &mut rng), false))
                     }
                 }
-            });
-            plans.push((site, snippet, used_condition));
+            })?;
+            plans.push((site, snippet));
             records.push(PieceRecord {
                 statement,
                 site,
@@ -225,12 +231,27 @@ impl Embedder {
         }
         self.telemetry
             .count(Counter::PiecesEmbedded, records.len() as u64);
-        // Apply: descending pc within each function keeps original pcs
-        // valid.
+
+        let bytes_before = program.byte_size();
+        // Branch targets do not change an instruction's encoded size.
+        let bytes_after = bytes_before
+            + plans
+                .iter()
+                .flat_map(|(_, snippet)| snippet.iter().map(encoded_size))
+                .sum::<usize>();
+        // Apply: one splice per touched function, its plans in piece
+        // order, which equals inserting them one by one in descending pc
+        // order; then verify the whole marked program.
         self.telemetry.time(Stage::Verify, || {
-            plans.sort_by_key(|p| std::cmp::Reverse((p.0.func, p.0.pc)));
-            for (site, snippet, _) in plans {
-                insert_snippet(marked.function_mut(site.func), site.pc, snippet);
+            plans.sort_by_key(|(site, _)| site.func);
+            let mut plans = plans.into_iter().peekable();
+            while let Some((site, snippet)) = plans.next() {
+                let mut here = vec![(site.pc, snippet)];
+                while let Some((next, snippet)) = plans.next_if(|(s, _)| s.func == site.func) {
+                    here.push((next.pc, snippet));
+                }
+                marked.function_mut(site.func).code =
+                    splice_snippets(&program.function(site.func).code, here);
             }
             stackvm::verify::verify(&marked)
         })?;
@@ -238,11 +259,96 @@ impl Embedder {
         Ok(MarkedProgram {
             report: EmbedReport {
                 pieces: records,
-                bytes_before: program.byte_size(),
-                bytes_after: marked.byte_size(),
+                bytes_before,
+                bytes_after,
             },
             program: marked,
         })
+    }
+}
+
+/// The trace's visited block leaders with their visit counts, sorted by
+/// site (the order of [`Trace::visited_blocks`]), plus the locals of each
+/// leader's first two snapshots: everything embedding reads from the
+/// trace, gathered in one pass over it.
+struct VisitedBlocks<'t>(Vec<VisitedBlock<'t>>);
+
+struct VisitedBlock<'t> {
+    site: Site,
+    visits: u64,
+    /// Locals of the first two snapshots at the leader, in trace order.
+    snapshots: [Option<&'t [i64]>; 2],
+}
+
+impl<'t> VisitedBlocks<'t> {
+    fn new(trace: &'t Trace) -> VisitedBlocks<'t> {
+        let mut blocks: Vec<VisitedBlock<'t>> = Vec::new();
+        let mut slots: HashMap<Site, usize, FxBuildHasher> = HashMap::default();
+        for event in &trace.events {
+            let (site, locals) = match event {
+                TraceEvent::EnterBlock { site } => (*site, None),
+                TraceEvent::Snapshot { site, data } => (*site, Some(data.locals.as_slice())),
+                TraceEvent::Branch { .. } => continue,
+            };
+            let slot = *slots.entry(site).or_insert_with(|| {
+                blocks.push(VisitedBlock {
+                    site,
+                    visits: 0,
+                    snapshots: [None, None],
+                });
+                blocks.len() - 1
+            });
+            let block = &mut blocks[slot];
+            match locals {
+                None => block.visits += 1,
+                Some(locals) => {
+                    if let Some(free) = block.snapshots.iter_mut().find(|s| s.is_none()) {
+                        *free = Some(locals);
+                    }
+                }
+            }
+        }
+        blocks.retain(|b| b.visits > 0);
+        blocks.sort_unstable_by_key(|b| b.site);
+        VisitedBlocks(blocks)
+    }
+}
+
+/// One weighted pool of insertion points: the positive weights in site
+/// order with the block each belongs to, and their total, summed once.
+/// [`Prng::weighted_index`] skips weights that are not positive, so
+/// drawing from these alone picks the same block, bit for bit, as
+/// drawing from a weight per visited block, zeros included.
+struct Pool {
+    blocks: Vec<usize>,
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Pool {
+    /// Blocks whose visit count passes `admit`, weighted by 1/visits
+    /// (positive: every block was visited).
+    fn new(blocks: &VisitedBlocks, admit: impl Fn(u64) -> bool) -> Pool {
+        let (blocks, weights): (Vec<usize>, Vec<f64>) = blocks
+            .0
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| admit(b.visits))
+            .map(|(i, b)| (i, 1.0 / b.visits as f64))
+            .unzip();
+        let total = Prng::weight_total(&weights);
+        Pool {
+            blocks,
+            weights,
+            total,
+        }
+    }
+
+    /// A block index drawn with probability proportional to its weight;
+    /// `None` (drawing nothing) when the pool is empty.
+    fn draw(&self, rng: &mut Prng) -> Option<usize> {
+        rng.weighted_index_with_total(&self.weights, self.total)
+            .map(|i| self.blocks[i])
     }
 }
 
@@ -345,25 +451,20 @@ fn loop_snippet(block: u64, scratch: u16, live_local: u16, rng: &mut Prng) -> Ve
     code
 }
 
-/// Section 3.2.2 condition code generation.
+/// Section 3.2.2 condition code generation, from the locals `v1` and
+/// `v2` of the site's first two visits on the secret input.
 ///
-/// Requires the site to have been visited at least twice on the secret
-/// input; bits of value 1 additionally require some local variable to
-/// differ between the first two visits. Returns `None` when the site
-/// cannot host the piece (the caller falls back to loop codegen).
+/// Bits of value 1 require some local variable to differ between the two
+/// visits. Returns `None` when the site cannot host the piece, or when
+/// its one fresh local would pass `u16::MAX` (the caller falls back to
+/// loop codegen).
 fn condition_snippet(
     func: &mut stackvm::Function,
-    trace: &Trace,
-    site: Site,
+    v1: &[i64],
+    v2: &[i64],
     block: u64,
     rng: &mut Prng,
 ) -> Option<Vec<Insn>> {
-    let snaps = trace.snapshots_at(site);
-    if snaps.len() < 2 {
-        return None;
-    }
-    let (v1, _) = snaps[0];
-    let (v2, _) = snaps[1];
     // Locals whose value changes between the first two visits can encode
     // a 1; any local can encode a 0.
     let changing: Vec<usize> = (0..v1.len().min(v2.len()))
@@ -372,7 +473,7 @@ fn condition_snippet(
     if changing.is_empty() || v1.is_empty() {
         return None;
     }
-    let t = reserve_locals(func, 1);
+    let t = reserve_locals(func, 1)?;
     let live = pick_live_local(func, rng);
     let mut code = vec![Insn::Const(0), Insn::Store(t)];
     for k in 0..64 {
@@ -433,12 +534,17 @@ mod tests {
     use crate::key::WatermarkKey;
     use crate::bitstring::BitString;
     use stackvm::builder::{FunctionBuilder, ProgramBuilder};
+    use stackvm::edit::insert_snippet;
     use stackvm::interp::Vm;
 
     fn looping_program() -> Program {
+        looping_program_with_locals(2)
+    }
+
+    fn looping_program_with_locals(num_locals: u16) -> Program {
         // Visits its loop head 11 times with a changing counter local.
         let mut pb = ProgramBuilder::new();
-        let mut f = FunctionBuilder::new("main", 0, 2);
+        let mut f = FunctionBuilder::new("main", 0, num_locals);
         let head = f.new_label();
         let out = f.new_label();
         f.push(0).store(0);
@@ -490,7 +596,7 @@ mod tests {
         let mut rng = Prng::from_seed(2);
         // The loop head block of `main` starts at pc 2 (after the two
         // init instructions); reserve scratch locals first.
-        let scratch = reserve_locals(program.function_mut(stackvm::FuncId(0)), 4);
+        let scratch = reserve_locals(program.function_mut(stackvm::FuncId(0)), 4).unwrap();
         let snippet = loop_snippet(block, scratch, 0, &mut rng);
         insert_snippet(program.function_mut(stackvm::FuncId(0)), 2, snippet);
         stackvm::verify::verify(&program).unwrap();
@@ -575,6 +681,31 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(orig.output, new.output);
+    }
+
+    #[test]
+    fn a_host_without_room_for_fresh_locals_gets_a_typed_error() {
+        let config = JavaConfig::for_watermark_bits(64).with_pieces(8);
+        let watermark = Watermark::random_for(&config, &key());
+        let session = Embedder::builder(key(), config).build().unwrap();
+        // Eight pieces take at most 32 fresh locals: 65,500 has room.
+        let roomy = looping_program_with_locals(65_500);
+        let marked = session.embed(&roomy, &watermark).unwrap();
+        assert_eq!(marked.report.pieces.len(), 8);
+        assert!(marked.program.functions[0].num_locals > 65_500);
+        // 65,534 leaves one: the second piece at the latest runs out.
+        match session.embed(&looping_program_with_locals(65_534), &watermark) {
+            Err(WatermarkError::TooManyLocals {
+                func_name,
+                num_locals,
+                extra,
+            }) => {
+                assert_eq!(func_name, "main");
+                assert!(num_locals >= 65_534, "{num_locals}");
+                assert_eq!(extra, 4);
+            }
+            other => panic!("expected TooManyLocals, got {other:?}"),
+        }
     }
 
     #[test]

@@ -122,7 +122,19 @@ impl Prng {
     ///
     /// Returns `None` if the weights are empty or sum to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        self.weighted_index_with_total(weights, Prng::weight_total(weights))
+    }
+
+    /// The total [`Prng::weighted_index`] draws against: the sum of the
+    /// finite positive weights, in order.
+    pub fn weight_total(weights: &[f64]) -> f64 {
+        weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum()
+    }
+
+    /// [`Prng::weighted_index`] with the weights' [`Prng::weight_total`]
+    /// already in hand, for drawing from one pool many times: the draw
+    /// is the same, bit for bit, as long as `total` is that sum.
+    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 {
             return None;
         }

@@ -33,12 +33,14 @@
 //! after a crash is at-least-once; journal dedup makes execution
 //! exactly-once.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pathmark_fleet::json::{parse_object, write_object, Scalar};
-use pathmark_fleet::manifest::{JobReport, ReportWriter};
+use pathmark_fleet::manifest::{JobReport, JobStatus, ReportWriter};
 use pathmark_telemetry::{Counter, Telemetry};
 
 use crate::protocol::Op;
@@ -50,25 +52,17 @@ pub struct Journal {
     intents: std::fs::File,
     embed: ReportWriter,
     recognize: ReportWriter,
-    /// Outcomes on disk, keyed by (op, job_id) — the dedup map.
-    completed: HashMap<(Op, String), JobReport>,
-    /// Every job intent ever recorded (completed or pending), mapped to
-    /// the tenant that submitted it. Job ids are daemon-unique per op:
-    /// the server rejects a second tenant reusing one, so a journaled
-    /// outcome is never answered across tenants.
-    accepted: HashMap<(Op, String), String>,
-    /// Job acceptance order; finalized reports are written in this
-    /// order, which is manifest order when a client submits a manifest
-    /// top to bottom — the batch bit-identity convention.
-    order: Vec<(Op, String)>,
+    /// Every job intent ever recorded, settled or pending, in acceptance
+    /// order, one compact record each — the dedup map — with the tenant
+    /// that submitted it. Job ids are daemon-unique per op: the server
+    /// rejects a second tenant reusing one, so a journaled outcome is
+    /// never answered across tenants.
+    jobs: JobTable,
     /// Accepted `open` lines in first-seen order, deduplicated —
     /// carried verbatim into every compacted segment (a resumed daemon
     /// must rebuild tenants before re-running their jobs).
     opens: Vec<String>,
     open_seen: HashSet<String>,
-    /// Verbatim request lines of jobs not yet settled: what rotation
-    /// must carry over in full (a settled job only needs its marker).
-    pending_lines: HashMap<(Op, String), String>,
     /// Rotate once the live intents file exceeds this many bytes;
     /// `None` never rotates (the pre-rotation behavior).
     max_bytes: Option<u64>,
@@ -129,12 +123,9 @@ impl Journal {
             intents: std::fs::File::create(intents_path(prefix))?,
             embed: ReportWriter::create(report_path(prefix, Op::Embed))?,
             recognize: ReportWriter::create(report_path(prefix, Op::Recognize))?,
-            completed: HashMap::new(),
-            accepted: HashMap::new(),
-            order: Vec::new(),
+            jobs: JobTable::default(),
             opens: Vec::new(),
             open_seen: HashSet::new(),
-            pending_lines: HashMap::new(),
             max_bytes: None,
             live_bytes: 0,
             rotations: 0,
@@ -218,30 +209,36 @@ impl Journal {
         std::fs::write(&path, &clean)?;
         let intents = std::fs::OpenOptions::new().append(true).open(&path)?;
 
-        // Pending = accepted with no outcome; those lines must survive
-        // future rotations verbatim, and they are what the server
-        // replays (after the opens that built their tenants).
-        let mut pending_lines = HashMap::new();
+        // Settled = accepted with an outcome; pending = accepted without
+        // one. Pending lines must survive future rotations verbatim, and
+        // they are what the server replays (after the opens that built
+        // their tenants).
+        let mut jobs = JobTable::default();
         let mut replay: Vec<String> = scan.opens.clone();
-        for key in &scan.order {
-            if completed.contains_key(key) {
-                continue;
-            }
-            let Some(line) = scan.job_lines.get(key) else {
+        for (key, tenant) in scan.order {
+            let i = jobs.accept(key.0, &key.1, &tenant);
+            if let Some(report) = completed.remove(&key) {
+                jobs.settle(i, &report);
+            } else if let Some(line) = scan.job_lines.remove(&key) {
+                jobs.pend(i, &line);
+                replay.push(line);
+            } else {
                 // A settled marker whose outcome line was torn away: the
                 // request line is gone, so the job cannot be re-run. It
                 // keeps its acceptance slot (finalize skips report-less
-                // keys) but is surfaced, not silently dropped.
+                // jobs) but is surfaced, not silently dropped.
                 eprintln!(
                     "serve: journal: {} job `{}` was compacted as settled but has no \
                      recorded outcome; it cannot be replayed",
                     key.0.as_str(),
                     key.1
                 );
-                continue;
-            };
-            pending_lines.insert(key.clone(), line.clone());
-            replay.push(line.clone());
+            }
+        }
+        // Outcomes with no intent behind them still answer dedup.
+        for ((op, id), report) in completed {
+            let i = jobs.position_or_add(op, &id);
+            jobs.settle(i, &report);
         }
 
         Ok((
@@ -250,12 +247,9 @@ impl Journal {
                 intents,
                 embed,
                 recognize,
-                completed,
-                accepted: scan.accepted,
-                order: scan.order,
+                jobs,
                 opens: scan.opens,
                 open_seen: scan.open_seen,
-                pending_lines,
                 max_bytes: None,
                 live_bytes: clean.len() as u64,
                 rotations: 0,
@@ -295,14 +289,8 @@ impl Journal {
         line: &str,
     ) -> std::io::Result<()> {
         self.append_intent(line)?;
-        let key = (op, job_id.to_string());
-        if !self.accepted.contains_key(&key) {
-            self.accepted.insert(key.clone(), tenant.to_string());
-            self.order.push(key.clone());
-        }
-        self.pending_lines
-            .entry(key)
-            .or_insert_with(|| line.trim().to_string());
+        let i = self.jobs.accept(op, job_id, tenant);
+        self.jobs.pend(i, line.trim());
         self.maybe_rotate()
     }
 
@@ -319,26 +307,27 @@ impl Journal {
     /// Whether a job intent was ever recorded (settled or still
     /// pending).
     pub fn is_accepted(&self, op: Op, job_id: &str) -> bool {
-        self.accepted.contains_key(&(op, job_id.to_string()))
+        self.jobs.find(op, job_id).is_some_and(|job| job.accepted)
     }
 
     /// The tenant that submitted a recorded job intent, if any. The
     /// server uses this to refuse a different tenant reusing the id —
     /// the journaled outcome would otherwise leak across tenants.
     pub fn owner(&self, op: Op, job_id: &str) -> Option<&str> {
-        self.accepted
-            .get(&(op, job_id.to_string()))
-            .map(String::as_str)
+        self.jobs
+            .find(op, job_id)
+            .filter(|job| job.accepted)
+            .map(|job| self.jobs.tenant(job))
     }
 
     /// The journaled outcome of a settled job, if it settled.
-    pub fn completed(&self, op: Op, job_id: &str) -> Option<&JobReport> {
-        self.completed.get(&(op, job_id.to_string()))
+    pub fn completed(&self, op: Op, job_id: &str) -> Option<JobReport> {
+        self.jobs.find(op, job_id).and_then(Job::report)
     }
 
     /// Number of settled jobs on record.
     pub fn completed_count(&self) -> usize {
-        self.completed.len()
+        self.jobs.settled
     }
 
     /// Rotations performed over this journal's lifetime.
@@ -369,9 +358,8 @@ impl Journal {
             Op::Embed => self.embed.append(report)?,
             Op::Recognize => self.recognize.append(report)?,
         }
-        let key = (op, report.job_id.clone());
-        self.pending_lines.remove(&key);
-        self.completed.insert(key, report.clone());
+        let i = self.jobs.position_or_add(op, &report.job_id);
+        self.jobs.settle(i, report);
         self.maybe_compact_reports(op)?;
         self.maybe_rotate()
     }
@@ -407,15 +395,12 @@ impl Journal {
         if writer.partial_bytes() <= max {
             return Ok(());
         }
-        let mut settled = Vec::new();
-        for key in &self.order {
-            if key.0 != op {
-                continue;
-            }
-            if let Some(report) = self.completed.get(key) {
-                settled.push(report.clone());
-            }
-        }
+        let settled: Vec<JobReport> = self
+            .jobs
+            .in_order()
+            .filter(|job| job.op == op)
+            .filter_map(Job::report)
+            .collect();
         writer.compact(&settled)?;
         self.report_rotations += 1;
         self.telemetry.count(Counter::ReportRotation, 1);
@@ -449,12 +434,10 @@ impl Journal {
             segment.push_str(line);
             segment.push('\n');
         }
-        for key in &self.order {
-            if let Some(line) = self.pending_lines.get(key) {
-                segment.push_str(line);
-            } else {
-                let tenant = self.accepted.get(key).map(String::as_str).unwrap_or("");
-                segment.push_str(&settled_marker(key.0, tenant, &key.1));
+        for job in self.jobs.in_order() {
+            match &job.state {
+                JobState::Pending => segment.push_str(job.rest()),
+                _ => segment.push_str(&settled_marker(job.op, self.jobs.tenant(job), job.id())),
             }
             segment.push('\n');
         }
@@ -486,13 +469,13 @@ impl Journal {
     pub fn finalize(self) -> std::io::Result<(usize, usize)> {
         let mut embed_ordered = Vec::new();
         let mut recognize_ordered = Vec::new();
-        for key in &self.order {
-            let Some(report) = self.completed.get(key) else {
+        for job in self.jobs.in_order() {
+            let Some(report) = job.report() else {
                 continue;
             };
-            match key.0 {
-                Op::Embed => embed_ordered.push(report.clone()),
-                Op::Recognize => recognize_ordered.push(report.clone()),
+            match job.op {
+                Op::Embed => embed_ordered.push(report),
+                Op::Recognize => recognize_ordered.push(report),
             }
         }
         self.embed.finalize(&embed_ordered)?;
@@ -503,13 +486,206 @@ impl Journal {
     }
 }
 
+/// One job the journal knows of, with its tenant interned and its id
+/// stored once, in one allocation with the one string its state needs.
+#[derive(Debug)]
+struct Job {
+    op: Op,
+    /// Whether an intent was recorded. An outcome with no intent behind
+    /// it (a sidecar line whose intent is gone) still answers dedup but
+    /// has no owner and no acceptance slot.
+    accepted: bool,
+    /// Index into [`JobTable::tenants`].
+    tenant: u32,
+    /// The next older job whose (op, id) hashes alike, or [`NO_JOB`].
+    next: u32,
+    /// Length of the id at the front of `text`.
+    id_len: usize,
+    /// The id, then a pending job's verbatim request line or a settled
+    /// job's watermark hex.
+    text: Box<str>,
+    state: JobState,
+}
+
+#[derive(Debug)]
+enum JobState {
+    /// Accepted, not settled: rotation carries its request line over in
+    /// full.
+    Pending,
+    /// Settled: rotation folds it to a marker.
+    Settled(Outcome),
+    /// Compacted as settled, but its outcome line was torn away before a
+    /// crash: only its acceptance slot is left.
+    Lost,
+}
+
+/// The fields of a settled job's [`JobReport`] besides its id and
+/// watermark hex.
+#[derive(Debug)]
+struct Outcome {
+    seed: u64,
+    status: JobStatus,
+    attempts: u32,
+    wall_ms: u64,
+}
+
+impl Job {
+    fn id(&self) -> &str {
+        &self.text[..self.id_len]
+    }
+
+    /// A pending job's request line; a settled job's watermark hex.
+    fn rest(&self) -> &str {
+        &self.text[self.id_len..]
+    }
+
+    fn set(&mut self, state: JobState, rest: &str) {
+        self.text = [self.id(), rest].concat().into();
+        self.state = state;
+    }
+
+    /// The settled outcome as a report line's fields, if it settled.
+    fn report(&self) -> Option<JobReport> {
+        match &self.state {
+            JobState::Settled(outcome) => Some(JobReport {
+                job_id: self.id().to_string(),
+                watermark_hex: self.rest().to_string(),
+                seed: outcome.seed,
+                status: outcome.status.clone(),
+                attempts: outcome.attempts,
+                wall_ms: outcome.wall_ms,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Marks the end of a [`Job::next`] chain.
+const NO_JOB: u32 = u32::MAX;
+
+/// Every job the journal knows of. The index by (op, id) keeps no second
+/// copy of the id: a hash of (op, id) leads to the newest job with that
+/// hash, and jobs that hash alike chain through [`Job::next`].
+#[derive(Debug, Default)]
+struct JobTable {
+    jobs: Vec<Job>,
+    /// Accepted jobs in acceptance order; finalized reports are written
+    /// in this order, which is manifest order when a client submits a
+    /// manifest top to bottom — the batch bit-identity convention.
+    order: Vec<u32>,
+    heads: HashMap<u64, u32>,
+    hasher: RandomState,
+    tenants: Vec<Box<str>>,
+    tenant_ids: HashMap<Box<str>, u32>,
+    /// Jobs in [`JobState::Settled`].
+    settled: usize,
+}
+
+impl JobTable {
+    fn find(&self, op: Op, id: &str) -> Option<&Job> {
+        self.position(op, id).map(|i| &self.jobs[i])
+    }
+
+    fn position(&self, op: Op, id: &str) -> Option<usize> {
+        let mut at = *self.heads.get(&self.hasher.hash_one((op, id)))?;
+        while at != NO_JOB {
+            let job = &self.jobs[at as usize];
+            if job.op == op && job.id() == id {
+                return Some(at as usize);
+            }
+            at = job.next;
+        }
+        None
+    }
+
+    /// The job's position, adding it (unaccepted, [`JobState::Lost`]) if
+    /// it is new.
+    fn position_or_add(&mut self, op: Op, id: &str) -> usize {
+        if let Some(i) = self.position(op, id) {
+            return i;
+        }
+        let i = u32::try_from(self.jobs.len()).expect("fewer than 2^32 jobs");
+        let next = self
+            .heads
+            .insert(self.hasher.hash_one((op, id)), i)
+            .unwrap_or(NO_JOB);
+        let tenant = self.intern("");
+        self.jobs.push(Job {
+            op,
+            accepted: false,
+            tenant,
+            next,
+            id_len: id.len(),
+            text: id.into(),
+            state: JobState::Lost,
+        });
+        i as usize
+    }
+
+    fn intern(&mut self, tenant: &str) -> u32 {
+        if let Some(&t) = self.tenant_ids.get(tenant) {
+            return t;
+        }
+        let t = u32::try_from(self.tenants.len()).expect("fewer than 2^32 tenants");
+        self.tenants.push(tenant.into());
+        self.tenant_ids.insert(tenant.into(), t);
+        t
+    }
+
+    fn tenant(&self, job: &Job) -> &str {
+        &self.tenants[job.tenant as usize]
+    }
+
+    /// Records an intent and returns the job's position. A new job takes
+    /// the next acceptance slot, owned by `tenant`; a known one keeps its
+    /// slot and owner.
+    fn accept(&mut self, op: Op, id: &str, tenant: &str) -> usize {
+        let i = self.position_or_add(op, id);
+        if !self.jobs[i].accepted {
+            let tenant = self.intern(tenant);
+            let job = &mut self.jobs[i];
+            job.accepted = true;
+            job.tenant = tenant;
+            self.order.push(i as u32);
+        }
+        i
+    }
+
+    /// Gives a job with no state yet its pending request line.
+    fn pend(&mut self, i: usize, line: &str) {
+        let job = &mut self.jobs[i];
+        if matches!(job.state, JobState::Lost) {
+            job.set(JobState::Pending, line);
+        }
+    }
+
+    /// Settles a job (replacing any earlier outcome of it).
+    fn settle(&mut self, i: usize, report: &JobReport) {
+        let job = &mut self.jobs[i];
+        self.settled += usize::from(!matches!(job.state, JobState::Settled(_)));
+        let outcome = Outcome {
+            seed: report.seed,
+            status: report.status.clone(),
+            attempts: report.attempts,
+            wall_ms: report.wall_ms,
+        };
+        job.set(JobState::Settled(outcome), &report.watermark_hex);
+    }
+
+    /// Accepted jobs in acceptance order.
+    fn in_order(&self) -> impl Iterator<Item = &Job> {
+        self.order.iter().map(|&i| &self.jobs[i as usize])
+    }
+}
+
 /// Accumulates intent lines across journal segments (compact first,
 /// then live), rebuilding acceptance order, tenant ownership, opens,
 /// and the verbatim lines of jobs that were pending at rotation time.
 #[derive(Debug, Default)]
 struct IntentScan {
-    accepted: HashMap<(Op, String), String>,
-    order: Vec<(Op, String)>,
+    accepted: HashSet<(Op, String)>,
+    /// Accepted jobs in acceptance order, with their tenants.
+    order: Vec<((Op, String), String)>,
     opens: Vec<String>,
     open_seen: HashSet<String>,
     /// Full request lines seen for a job key — absent for jobs folded
@@ -551,9 +727,8 @@ impl IntentScan {
                 .and_then(|v| v.as_str())
                 .unwrap_or_default();
             let key = (op, job_id.to_string());
-            if !self.accepted.contains_key(&key) {
-                self.accepted.insert(key.clone(), tenant.to_string());
-                self.order.push(key.clone());
+            if self.accepted.insert(key.clone()) {
+                self.order.push((key.clone(), tenant.to_string()));
             }
             let is_marker = fields.get("compact").and_then(|v| v.as_str()) == Some("settled");
             if !is_marker {
@@ -627,7 +802,7 @@ mod tests {
 
         journal.record_outcome(Op::Embed, &a).unwrap();
         journal.record_outcome(Op::Recognize, &b).unwrap();
-        assert_eq!(journal.completed(Op::Embed, "embed-000"), Some(&a));
+        assert_eq!(journal.completed(Op::Embed, "embed-000"), Some(a.clone()));
         assert_eq!(journal.completed_count(), 2);
 
         let (embeds, recognizes) = journal.finalize().unwrap();

@@ -584,7 +584,7 @@ impl Server {
         if let Some(report) = journal.completed(op, &spec.job_id) {
             self.counters.resumed.fetch_add(1, Ordering::Relaxed);
             self.telemetry.count(Counter::JobResumed, 1);
-            return Some(job_line(op, tenant_name, report, Disposition::Resumed));
+            return Some(job_line(op, tenant_name, &report, Disposition::Resumed));
         }
         if mode == Mode::Live && journal.is_accepted(op, &spec.job_id) {
             return Some(error_line(&format!(

@@ -46,6 +46,81 @@ pub fn insert_snippet(func: &mut Function, at: usize, snippet: Vec<Insn>) {
     func.code.splice(at..at, rebased);
 }
 
+/// Inserts every `(at, snippet)` pair into `code` in one pass and returns
+/// the new code. The result equals calling [`insert_snippet`] once per
+/// pair in descending `at` order, pairs with equal `at` in slice order,
+/// so at one point the later snippet lands first:
+///
+/// * an existing target `t` moves past every snippet inserted before it
+///   (`at < t`); one equal to an insertion point lands on the first
+///   snippet there, and one at or past the end moves like any other;
+/// * a snippet-relative target `rel` lands at the snippet's own start
+///   plus `rel`, except that `rel == 0` lands on the first snippet at its
+///   point (as a later insertion at the same point would have left it).
+///
+/// Each instruction is written once, so the cost is the function's
+/// length plus the snippets', not one pass per snippet.
+///
+/// # Panics
+///
+/// As [`insert_snippet`]: if an `at` exceeds `code.len()` or a snippet
+/// target exceeds its snippet's length.
+pub fn splice_snippets(code: &[Insn], mut snippets: Vec<(usize, Vec<Insn>)>) -> Vec<Insn> {
+    let n = code.len();
+    // Layout order: ascending point; at one point, later snippets first.
+    let mut order: Vec<usize> = (0..snippets.len()).collect();
+    order.sort_unstable_by_key(|&i| (snippets[i].0, std::cmp::Reverse(i)));
+    // Each insertion point with the snippet length inserted before it.
+    let mut points: Vec<(usize, usize)> = Vec::new();
+    let mut inserted = 0;
+    for &i in &order {
+        let (at, ref snippet) = snippets[i];
+        assert!(at <= n, "insertion point out of range");
+        if points.last().is_none_or(|&(p, _)| p != at) {
+            points.push((at, inserted));
+        }
+        inserted += snippet.len();
+    }
+    let moved = |t: usize| {
+        let after = points.partition_point(|&(p, _)| p < t);
+        t + points.get(after).map_or(inserted, |&(_, before)| before)
+    };
+    let mut out = Vec::with_capacity(n + inserted);
+    let mut pending = order.into_iter().peekable();
+    for (pc, insn) in code
+        .iter()
+        .map(Some)
+        .chain(std::iter::once(None))
+        .enumerate()
+    {
+        let first_at_point = out.len();
+        while let Some(i) = pending.next_if(|&i| snippets[i].0 == pc) {
+            let snippet = std::mem::take(&mut snippets[i].1);
+            let (start, len) = (out.len(), snippet.len());
+            out.extend(snippet.into_iter().map(|mut insn| {
+                insn.map_targets(|rel| {
+                    assert!(
+                        rel <= len,
+                        "snippet target {rel} exceeds snippet length {len}"
+                    );
+                    if rel == 0 {
+                        first_at_point
+                    } else {
+                        start + rel
+                    }
+                });
+                insn
+            }));
+        }
+        if let Some(insn) = insn {
+            let mut insn = insn.clone();
+            insn.map_targets(moved);
+            out.push(insn);
+        }
+    }
+    out
+}
+
 /// Deletes the instruction at `at`, retargeting branches: targets beyond
 /// `at` shift down by one; targets equal to `at` now point at the
 /// instruction that followed it.
@@ -73,11 +148,12 @@ pub fn replace_insn(func: &mut Function, at: usize, with: Insn) -> Insn {
 
 /// Grows the local-variable area by `extra` slots, returning the index of
 /// the first new slot. Inserted watermark code uses fresh locals so it
-/// cannot clobber program state.
-pub fn reserve_locals(func: &mut Function, extra: u16) -> u16 {
+/// cannot clobber program state. Returns `None`, and leaves the function
+/// as it was, when the count would pass `u16::MAX`.
+pub fn reserve_locals(func: &mut Function, extra: u16) -> Option<u16> {
     let first = func.num_locals;
-    func.num_locals += extra;
-    first
+    func.num_locals = first.checked_add(extra)?;
+    Some(first)
 }
 
 #[cfg(test)]
@@ -176,8 +252,22 @@ mod tests {
     fn reserve_locals_appends() {
         let mut f = counting_function();
         let first = reserve_locals(&mut f, 3);
-        assert_eq!(first, 1);
+        assert_eq!(first, Some(1));
         assert_eq!(f.num_locals, 4);
+    }
+
+    #[test]
+    fn reserve_locals_refuses_to_pass_u16_max() {
+        let mut f = counting_function();
+        f.num_locals = u16::MAX - 2;
+        assert_eq!(reserve_locals(&mut f, 3), None);
+        assert_eq!(
+            f.num_locals,
+            u16::MAX - 2,
+            "a refused reservation changes nothing"
+        );
+        assert_eq!(reserve_locals(&mut f, 2), Some(u16::MAX - 2));
+        assert_eq!(f.num_locals, u16::MAX);
     }
 
     #[test]

@@ -158,7 +158,9 @@ impl Trace {
 
     /// All snapshots taken at a given block leader, in execution order.
     /// The condition code generator compares the first visit's values
-    /// with later visits' (Section 3.2.2).
+    /// with later visits' (Section 3.2.2). Each call scans the whole
+    /// trace; the embedder reads the first two snapshots of every leader
+    /// in its single pass over the trace instead.
     pub fn snapshots_at(&self, site: Site) -> Vec<(&[i64], &[i64])> {
         self.events
             .iter()
@@ -172,8 +174,9 @@ impl Trace {
     }
 
     /// Distinct block leaders that appear in the trace with their visit
-    /// counts, sorted by site. (Deterministic iteration order for the
-    /// embedder's weighted choice.)
+    /// counts, sorted by site (a deterministic order for a weighted
+    /// choice). The embedder builds this table, with the snapshots it
+    /// needs, in its own single pass over the trace, in the same order.
     pub fn visited_blocks(&self) -> Vec<(Site, u64)> {
         let mut v: Vec<(Site, u64)> = self.block_frequencies().into_iter().collect();
         v.sort_unstable();

@@ -40,8 +40,16 @@ pub fn verify(program: &Program) -> Result<(), VmError> {
             reason: "entry function must take no parameters".into(),
         });
     }
+    // One depth table and one worklist serve every function.
+    let longest = program
+        .functions
+        .iter()
+        .map(|f| f.code.len())
+        .max()
+        .unwrap_or(0);
+    let mut scratch = Scratch::with_capacity(longest);
     for func in &program.functions {
-        verify_function(program, func)?;
+        check_function(program, func, &mut scratch)?;
     }
     Ok(())
 }
@@ -52,6 +60,34 @@ pub fn verify(program: &Program) -> Result<(), VmError> {
 ///
 /// Returns the first [`VmError::Verify`] violation found.
 pub fn verify_function(program: &Program, func: &Function) -> Result<(), VmError> {
+    check_function(program, func, &mut Scratch::with_capacity(func.code.len()))
+}
+
+/// Marks a pc whose entry depth is not known yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The dataflow's working memory, reused across functions.
+struct Scratch {
+    /// Entry stack depth per pc, [`UNSEEN`] until first reached.
+    depth_at: Vec<u32>,
+    /// Branch targets still to walk, with their entry depths.
+    work: Vec<(usize, u32)>,
+}
+
+impl Scratch {
+    fn with_capacity(n: usize) -> Scratch {
+        Scratch {
+            depth_at: Vec::with_capacity(n),
+            work: Vec::new(),
+        }
+    }
+}
+
+fn check_function(
+    program: &Program,
+    func: &Function,
+    scratch: &mut Scratch,
+) -> Result<(), VmError> {
     let fail = |pc: Option<usize>, reason: String| VmError::Verify {
         func_name: func.name.clone(),
         pc,
@@ -71,10 +107,14 @@ pub fn verify_function(program: &Program, func: &Function) -> Result<(), VmError
     }
     let n = func.code.len();
     for (pc, insn) in func.code.iter().enumerate() {
-        for t in insn.targets() {
-            if t >= n {
-                return Err(fail(Some(pc), format!("branch target {t} out of range")));
+        let mut bad_target = None;
+        insn.for_each_target(|t| {
+            if t >= n && bad_target.is_none() {
+                bad_target = Some(t);
             }
+        });
+        if let Some(t) = bad_target {
+            return Err(fail(Some(pc), format!("branch target {t} out of range")));
         }
         match insn {
             Insn::Load(l) | Insn::Store(l) | Insn::Iinc(l, _)
@@ -99,19 +139,32 @@ pub fn verify_function(program: &Program, func: &Function) -> Result<(), VmError
             _ => {}
         }
     }
-    // Stack-depth dataflow: every pc has a single consistent entry depth.
-    let mut depth_at: Vec<Option<usize>> = vec![None; n];
-    let mut work = vec![(0usize, 0usize)];
-    while let Some((pc, depth)) = work.pop() {
+    // Stack-depth dataflow: every pc has a single consistent entry
+    // depth. Straight-line code is walked in place and only the other
+    // successors of a branch wait on the worklist, so pcs are reached in
+    // the order a LIFO worklist of every successor would pop them: the
+    // successor pushed last (fall-through, a `Goto`'s target, a
+    // `Switch`'s default) is walked next. Depths grow by at most two per
+    // instruction, so a `u32` holds any depth of a function that fits
+    // in memory.
+    let Scratch { depth_at, work } = scratch;
+    depth_at.clear();
+    depth_at.resize(n, UNSEEN);
+    work.clear();
+    let mut next = Some((0usize, 0u32));
+    loop {
+        let Some((pc, depth)) = next.take().or_else(|| work.pop()) else {
+            return Ok(());
+        };
         match depth_at[pc] {
-            Some(existing) if existing != depth => {
+            UNSEEN => depth_at[pc] = depth,
+            existing if existing != depth => {
                 return Err(fail(
                     Some(pc),
                     format!("inconsistent stack depth at join: {existing} vs {depth}"),
                 ));
             }
-            Some(_) => continue,
-            None => depth_at[pc] = Some(depth),
+            _ => continue,
         }
         let insn = &func.code[pc];
         let (pops, pushes) = match insn {
@@ -124,38 +177,35 @@ pub fn verify_function(program: &Program, func: &Function) -> Result<(), VmError
             }
             other => other.stack_effect(),
         };
-        if depth < pops {
+        if (depth as usize) < pops {
             return Err(fail(
                 Some(pc),
                 format!("stack underflow: depth {depth}, needs {pops}"),
             ));
         }
-        let next_depth = depth - pops + pushes;
+        let next_depth = depth - pops as u32 + pushes as u32;
         match insn {
             Insn::Return(_) => {}
-            Insn::Goto(t) => work.push((*t, next_depth)),
+            Insn::Goto(t) => next = Some((*t, next_depth)),
             Insn::Switch { cases, default } => {
-                for &(_, t) in cases {
-                    work.push((t, next_depth));
-                }
-                work.push((*default, next_depth));
+                work.extend(cases.iter().map(|&(_, t)| (t, next_depth)));
+                next = Some((*default, next_depth));
             }
             Insn::If(_, t) | Insn::IfCmp(_, t) => {
                 work.push((*t, next_depth));
                 if pc + 1 >= n {
                     return Err(fail(Some(pc), "conditional branch falls off end".into()));
                 }
-                work.push((pc + 1, next_depth));
+                next = Some((pc + 1, next_depth));
             }
             _ => {
                 if pc + 1 >= n {
                     return Err(fail(Some(pc), "execution falls off end".into()));
                 }
-                work.push((pc + 1, next_depth));
+                next = Some((pc + 1, next_depth));
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

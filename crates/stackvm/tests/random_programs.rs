@@ -153,3 +153,64 @@ fn disassembly_never_panics() {
         assert!(text.contains("fn main"), "seed {seed}");
     }
 }
+
+/// A random snippet of `len` instructions whose branches aim anywhere in
+/// it, its start (0) and its end (`len`) included.
+fn random_snippet(g: &mut Gen, len: usize) -> Vec<Insn> {
+    (0..len)
+        .map(|_| {
+            let t = g.below(len as u64 + 1) as usize;
+            match g.below(4) {
+                0 => Insn::Goto(t),
+                1 => Insn::If(Cond::Ne, t),
+                2 => Insn::Switch {
+                    cases: vec![(1, t), (2, g.below(len as u64 + 1) as usize)],
+                    default: 0,
+                },
+                _ => Insn::Nop,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn one_splice_equals_inserting_each_snippet_in_descending_order() {
+    for seed in 0..CASES {
+        let seed = Gen::new(seed ^ 0x5911CE).next();
+        let p = generate(seed);
+        let mut g = Gen::new(seed ^ 0x2);
+        for func in &p.functions {
+            let mut code = func.code.clone();
+            let n = code.len();
+            // Targets at and past the end must move as they always did.
+            code.push(Insn::Goto(n + 1));
+            code.push(Insn::If(Cond::Eq, n + 2 + g.below(3) as usize));
+            let n = code.len();
+            // Few points for many snippets, so several share a point,
+            // the end included.
+            let points: Vec<usize> = (0..1 + g.below(4))
+                .map(|_| g.below(n as u64 + 1) as usize)
+                .collect();
+            let snippets: Vec<(usize, Vec<Insn>)> = (0..g.below(12))
+                .map(|_| {
+                    let at = points[g.below(points.len() as u64) as usize];
+                    let len = g.below(5) as usize;
+                    (at, random_snippet(&mut g, len))
+                })
+                .collect();
+
+            let mut one_by_one = stackvm::Function {
+                code: code.clone(),
+                ..func.clone()
+            };
+            let mut order: Vec<usize> = (0..snippets.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(snippets[i].0));
+            for i in order {
+                let (at, snippet) = snippets[i].clone();
+                stackvm::edit::insert_snippet(&mut one_by_one, at, snippet);
+            }
+            let spliced = stackvm::edit::splice_snippets(&code, snippets);
+            assert_eq!(spliced, one_by_one.code, "seed {seed}, {}", func.name);
+        }
+    }
+}

@@ -3,7 +3,7 @@
 # (perfbench/ calls the public API), plus a fleet smoke run through the
 # CLI (16 copies embedded and recognized end to end, with stage-level
 # metrics captured), a quick fleet bench emitting BENCH_fleet.json, the
-# trace/scan, fused and native stepping equivalence gates, and a quick
+# trace/scan, fused, native stepping and embed equivalence gates, and a quick
 # recognition bench emitting BENCH_recognize.json. Both bench payloads
 # are copied back to the repo root so the checked-in snapshots never go
 # stale relative to the code.
@@ -132,6 +132,22 @@ echo "==> native stepping gate: one stepping loop == the per-function loops it r
 # and must peak under 32 MB.
 cargo test -q --release -p pathmark --test native_stepping
 cargo test -q --release -p pathmark-core --test extract_memory
+
+echo "==> embed equivalence gate: one-pass embed == per-piece path, verifier == its reference"
+# Embedder::embed_with_trace reads the host trace once and splices each
+# touched function once. Its marked program and EmbedReport must equal
+# the per-piece path it replaced (kept as a test-only reference) on the
+# CaffeineMark-like and Jess-like hosts and the CLI demo program, under
+# all three codegen policies and at a piece count that puts pieces on
+# one site (debug builds check 3 seeds per case; this release run checks
+# 32); a host whose locals leave no room gets a typed error. The
+# verifier must return what its predecessor returns on every workload
+# host, marked and attacked copy and on seeded hostile mutations of
+# them. 50,000 settled serve jobs must cost the journal at most 238 B of
+# VmRSS each.
+cargo test -q --release -p pathmark-core --lib java::embed
+cargo test -q --release -p pathmark --test verifier_equivalence
+cargo test -q --release -p pathmark-serve --test journal_memory
 
 echo "==> recognition bench: quick mode emits well-formed BENCH_recognize.json"
 ( cd "$SMOKE" && "$ROOT/target/release/recognize" --quick > /dev/null )
