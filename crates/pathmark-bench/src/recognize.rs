@@ -51,7 +51,7 @@ pub struct RecognizeRow {
     /// Copies recognized per second.
     pub copies_per_sec: f64,
     /// Total per-stage wall milliseconds across the corpus, in
-    /// [`STAGES`] order.
+    /// `STAGES` order.
     pub stage_ms: [f64; STAGES.len()],
     /// Scan counters: (windows scanned, skipped by the pre-rejects,
     /// actually decrypted).

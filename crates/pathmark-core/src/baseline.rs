@@ -2,11 +2,11 @@
 //! comparison (Section 6), implemented so the resilience contrast can be
 //! *measured* rather than asserted.
 //!
-//! * [`davidson_myhrvold`] — "Davidson and Myhrvold [9] embed the
+//! * [`davidson_myhrvold`] — "Davidson and Myhrvold \[9\] embed the
 //!   watermark by reordering basic blocks. It is easily subverted by
 //!   permuting the order of the blocks." A *static* scheme: the mark is
 //!   the permutation in which a function's basic blocks are laid out.
-//! * [`stern_frequency`] — "Stern et al. [19] embed the watermark in the
+//! * [`stern_frequency`] — "Stern et al. \[19\] embed the watermark in the
 //!   relative frequencies of instructions using a spread spectrum
 //!   technique. The data-rate is low and the scheme is easily subverted
 //!   by inserting redundant instructions." Modeled as a sign vector over

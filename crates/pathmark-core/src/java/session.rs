@@ -62,7 +62,7 @@ use crate::{ConfigError, WatermarkError};
 /// Below the ceiling the memo is exact (a warm session re-scanning a
 /// copy it has seen decrypts nothing); past it, decodes are dropped
 /// (counted as [`pathmark_telemetry::Counter::DecodeCacheEvict`]; see
-/// [`DecodeCache`] for which). Recognition stays correct either way —
+/// `DecodeCache` for which). Recognition stays correct either way —
 /// the memo only trades XTEA calls for memory. Long-lived daemons tune
 /// the cap per session via the builders' `decode_cache_cap`.
 pub const DEFAULT_DECODE_CACHE_CAP: usize = 1 << 15;
@@ -214,7 +214,7 @@ pub(crate) struct SessionCrypto {
 }
 
 /// Point-in-time decode-cache statistics of one session's shared crypto
-/// state (see [`SessionCrypto`]); sessions created via `with_key` with
+/// state (see `SessionCrypto`); sessions created via `with_key` with
 /// the same key share one state and therefore one set of numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
@@ -280,7 +280,7 @@ impl SessionCrypto {
 }
 
 /// An embedding session: one key + validated config + telemetry handle,
-/// plus the cached key-derived crypto state ([`SessionCrypto`]).
+/// plus the cached key-derived crypto state (`SessionCrypto`).
 ///
 /// Cheap to clone and `Send + Sync`, so a batch engine can derive one
 /// per-copy session per job (see [`Embedder::with_key`]) while all of

@@ -3,9 +3,9 @@
 //! Recognition rolls a 64-bit window over every offset of the trace
 //! bit-string. [`StreamingScanSink`] runs that scan *while tracing*: it
 //! is a [`TraceSink`], and as each branch bit lands in the builder it
-//! advances an incremental [`StreamScanner`] over the completed words,
+//! advances an incremental `StreamScanner` over the completed words,
 //! so by the time the traced program halts the survivor table is
-//! already built and the bit-string is never re-read. [`scan_range`]
+//! already built and the bit-string is never re-read. `scan_range`
 //! feeds the words of an already stored [`BitString`] through the same
 //! scanner in one call (`Recognizer::window_survivors`).
 //!
@@ -17,7 +17,7 @@
 //! * **Rolling** — classify window offsets while `offset + 64` bits are
 //!   available. Constant windows jump to the next flipped bit (possibly
 //!   in installments when the run reaches the frontier of written
-//!   bits); surviving windows feed the [`PeriodDetector`] and the
+//!   bits); surviving windows feed the `PeriodDetector` and the
 //!   dedup-at-source survivor accumulator; a verified probe hit
 //!   transitions to:
 //! * **Extending** — count streamed period matches until the first

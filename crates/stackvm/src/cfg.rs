@@ -67,31 +67,16 @@ impl Cfg {
                 succs: Vec::new(),
             });
         }
-        // Successors from each block's final instruction.
+        // Successors from each block's final instruction. A target past
+        // the end (possible only in an unverified function) is no edge:
+        // execution falls off the end there.
         for block in &mut blocks {
             let last_pc = block.end - 1;
             let insn = &func.code[last_pc];
             let mut succs = Vec::new();
-            match insn {
-                Insn::Return(_) => {}
-                Insn::Goto(t) => succs.push(block_of[*t]),
-                Insn::Switch { cases, default } => {
-                    for &(_, t) in cases {
-                        succs.push(block_of[t]);
-                    }
-                    succs.push(block_of[*default]);
-                }
-                Insn::If(_, t) | Insn::IfCmp(_, t) => {
-                    succs.push(block_of[*t]);
-                    if last_pc + 1 < func.code.len() {
-                        succs.push(block_of[last_pc + 1]);
-                    }
-                }
-                _ => {
-                    if last_pc + 1 < func.code.len() {
-                        succs.push(block_of[last_pc + 1]);
-                    }
-                }
+            insn.for_each_target(|t| succs.extend(block_of.get(t)));
+            if !insn.is_terminator() && last_pc + 1 < n {
+                succs.push(block_of[last_pc + 1]);
             }
             succs.sort_unstable();
             succs.dedup();
@@ -216,6 +201,29 @@ mod tests {
         let reach = cfg.reachable();
         assert_eq!(reach.iter().filter(|&&r| r).count(), 2);
         assert!(!reach[1], "the middle block is dead");
+    }
+
+    #[test]
+    fn a_target_past_the_end_is_no_edge() {
+        // 0: if ne -> 99   1: switch {0 -> 2} default 7   2: return
+        let f = Function {
+            name: "past".into(),
+            num_params: 1,
+            num_locals: 1,
+            returns_value: false,
+            code: vec![
+                Insn::If(Cond::Ne, 99),
+                Insn::Switch {
+                    cases: vec![(0, 2)],
+                    default: 7,
+                },
+                Insn::Return(false),
+            ],
+        };
+        let cfg = Cfg::build(&f);
+        assert_eq!(cfg.len(), 3);
+        assert_eq!(cfg.blocks[0].succs, vec![1], "fall-through only");
+        assert_eq!(cfg.blocks[1].succs, vec![2], "the in-range case only");
     }
 
     #[test]

@@ -1,30 +1,35 @@
 //! The compiled tier: a flattened threaded-code backend, and the tracer's
-//! only production engine.
+//! only engine.
 //!
 //! Recognition re-runs every suspect copy (Section 4.3), so the tracer's
-//! dispatch loop bounds serial copies/s. This module translates the
-//! [`Predecoded`] form (decoded once, 21 fused superinstructions) once
-//! more into a program-wide flattened instruction array:
+//! dispatch loop bounds serial copies/s. `Compiled::build` decodes a
+//! [`Program`] straight into one program-wide instruction array, in one
+//! walk per function, and then fuses it with three peephole passes:
 //!
 //! * all functions are concatenated into one `Vec<COp>` with a
-//!   [`COp::EndGuard`] sentinel slot after each function, so "fell off
-//!   the end" and clamped out-of-range branch targets are ordinary
-//!   fetches of a guard op — the hot loop has no per-function slices to
-//!   re-hoist;
+//!   `COp::EndGuard` sentinel slot after each function, so "fell off
+//!   the end" and out-of-range branch targets (clamped to the guard) are
+//!   ordinary fetches of a guard op — the hot loop has no per-function
+//!   slices to re-hoist;
 //! * call sites carry the callee's pre-resolved absolute entry offset,
 //!   arity, and frame size, so a call is a frame push plus a jump;
-//! * what a run records is a compile-time const (`MODE`: [`OFF`],
-//!   [`BRANCHES`] or [`FULL`]), not a runtime flag, so the recognition
+//! * an operand that names a missing local, static or function compiles
+//!   to one `COp::BadOperand` fault op, so the loop indexes without
+//!   checks and an unverified program gets [`VmError::BadOperand`], not
+//!   a panic;
+//! * what a run records is a compile-time const (`MODE`: `OFF`,
+//!   `BRANCHES` or `FULL`), not a runtime flag, so the recognition
 //!   loops carry no block or snapshot code, and branch events stream into
 //!   the caller's [`TraceSink`] — with the packed-bits sink the bit lands
 //!   straight in the builder's accumulator word;
-//! * a second peephole pass fuses sequences the 16-byte predecoded form
-//!   cannot express — most importantly [`COp::FusedExpr`], the
-//!   watermark-decoder's whole `t = (x >> (i - 1)) & 1` loop body
-//!   (eight original ops, four predecoded dispatches) as a single
-//!   stack-free dispatch, plus [`COp::BinIf`] (the opaque-predicate
-//!   tail) and [`COp::IincLoadSwitch`] (the switch-controlled loop back
-//!   edge the embedder emits).
+//! * `fuse_pairs` fuses 21 two- to four-op superinstructions that stay
+//!   inside a basic block; `fuse_compiled` then fuses longer sequences
+//!   and runs across leaders — most importantly `COp::FusedExpr`, the
+//!   watermark decoder's whole `t = (x >> (i - 1)) & 1` loop body
+//!   (eight original ops) as a single stack-free dispatch, plus
+//!   `COp::BinIf` (the opaque-predicate tail) and `COp::IincLoadSwitch`
+//!   (the switch-controlled loop back edge the embedder emits); and
+//!   `fuse_kernels` collapses whole loop iterations.
 //!
 //! Every fused op charges the instruction count the originals would
 //! have cost and reports error pcs / branch sites at their original
@@ -32,15 +37,16 @@
 //! reference interpreter — the equivalence property test in `interp.rs`
 //! holds the two engines to that under every trace mode.
 //!
-//! Under [`FULL`] the loop emits block and snapshot events when it
+//! Under `FULL` the loop emits block and snapshot events when it
 //! dispatches a block leader, so no fused op may swallow one: the
 //! program is compiled with the mode in hand, and that compile skips
 //! the fusions that cross a leader (the jump-threaded back edges, the
 //! kernels, and an increment fused into a leader loop header).
 
-use crate::insn::{BinOp, Cond};
-use crate::interp::{array, array_mut, heap_charge, locals_charge, RunResult, MAX_CALL_DEPTH};
-use crate::predecode::{op_width, Op, Predecoded};
+use crate::insn::{BinOp, Cond, Insn};
+use crate::interp::{
+    array, array_mut, bad_operand, heap_charge, locals_charge, RunResult, MAX_CALL_DEPTH,
+};
 use crate::program::{FuncId, Program};
 use crate::trace::{Site, TraceConfig, TraceSink};
 use crate::VmError;
@@ -98,9 +104,10 @@ pub(crate) enum COp {
         argc: u16,
         num_locals: u16,
     },
-    /// Unresolvable call site — the reference slow path, which panics
-    /// exactly where the original interpreter would.
-    BadCall(u32),
+    /// An instruction whose operand names a missing local, static or
+    /// function (or a callee whose parameters exceed its frame): fetching
+    /// it is [`VmError::BadOperand`] at this pc.
+    BadOperand,
     Return(bool),
     Print,
     ReadInput,
@@ -109,27 +116,55 @@ pub(crate) enum COp {
     /// clamped-target / fell-off-the-end fault for that function.
     EndGuard(u32),
 
-    // ---- predecoded superinstructions, carried over 1:1 ----
+    // ---- in-block superinstructions (see `fuse_pairs`) ----
+    // Each replaces the op at its own pc and consumes the following
+    // one to three; the consumed slots keep their 1:1 ops but become
+    // unreachable, so pc numbering is untouched. A fused op reports a
+    // consumed branch's site at its *original* pc.
+    /// `Load a; Load b`.
     Load2(u32, u32),
+    /// `Load n; Const v`.
     LoadConst(u32, i64),
+    /// `Store a; Load b` (an assignment whose value is used next).
     StoreLoad(u32, u32),
+    /// `Store n; Goto t` (a loop-body tail).
     StoreGoto(u32, u32),
+    /// `Load n; If(c, t)`.
     LoadIf(u32, Cond, u32),
+    /// `Load n; IfCmp(c, t)` — the loaded value is the *second* operand.
     LoadIfCmp(u32, Cond, u32),
+    /// `Const v; IfCmp(c, t)` — the constant is the *second* operand.
     ConstIfCmp(i64, Cond, u32),
+    /// `Iinc(n, d); Goto t` — a counted loop's back edge.
     IincGoto(u32, i32, u32),
+    /// `Load a; Load b; IfCmp(c, t)` — the canonical `i < limit` loop
+    /// head, compressed to one stack-free dispatch.
     Load2IfCmp(u16, u16, Cond, u16),
+    /// `Load n; Const v; IfCmp(c, t)` — `i < 10`, likewise stack-free.
     LoadConstIfCmp(u16, Cond, u16, i64),
+    /// `Const v; Bin op` — the constant is the *right* operand.
     ConstBin(i64, BinOp),
+    /// `Load n; Bin op` — the loaded value is the *right* operand.
     LoadBin(u32, BinOp),
+    /// `Bin op; Const v`.
     BinConst(BinOp, i64),
+    /// `Bin op1; Bin op2` — `op1`'s result is `op2`'s *right* operand.
     Bin2(BinOp, BinOp),
+    /// `Bin op; Store n`.
     BinStore(BinOp, u32),
+    /// `Store n; Iinc(m, d)`.
     StoreIinc(u32, u32, i32),
+    /// `Iinc(n, d); Load m`.
     IincLoad(u32, i32, u32),
+    /// `Load a; Load b; Bin op` — push `locals[a] op locals[b]`.
     Load2Bin(u16, u16, BinOp),
+    /// `Load n; Const v; Bin op` — push `locals[n] op v`.
     LoadConstBin(u16, BinOp, i64),
+    /// `Load a; Load b; Bin op; Store dst` — the whole statement
+    /// `dst = a op b` in one stack-free dispatch.
     Load2BinStore(u16, u16, BinOp, u16),
+    /// `Load src; Const v; Bin op; Store dst` — `dst = src op v`,
+    /// likewise stack-free.
     LoadConstBinStore(u16, BinOp, u16, i64),
 
     // ---- compile-tier fusions (see `fuse_compiled`) ----
@@ -363,7 +398,7 @@ struct CFrame {
     stack_base: usize,
 }
 
-/// A whole program translated to the flattened compiled form.
+/// A whole program decoded into the flattened compiled form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Compiled {
     code: Vec<COp>,
@@ -374,47 +409,97 @@ pub(crate) struct Compiled {
     /// Absolute start offset of each function's region (its `EndGuard`
     /// sits at `starts[f] + code_len(f)`).
     starts: Vec<u32>,
-    /// Frame sizes, indexed by function id (the `BadCall` slow path and
-    /// the entry frame need them).
-    num_locals: Vec<u32>,
-    /// `leaders[pc]` per flattened slot, built for [`FULL`] only (guard
+    /// `leaders[pc]` per flattened slot, kept for [`FULL`] only (guard
     /// slots are never leaders).
     leaders: Vec<bool>,
 }
 
 impl Compiled {
-    /// Translates `pre` into the flattened form for trace mode `mode`
-    /// ([`FULL`] keeps every block leader a dispatch head).
-    pub(crate) fn build(pre: &Predecoded, mode: u8) -> Compiled {
+    /// Decodes `program` for trace mode `mode` ([`FULL`] keeps every
+    /// block leader a dispatch head). One walk per function marks its
+    /// block leaders (the definition of [`crate::cfg::Cfg::is_leader`])
+    /// and writes each instruction's 1:1 op; the peephole passes then
+    /// fuse that function's region in place. Linear in code size.
+    pub(crate) fn build(program: &Program, mode: u8) -> Compiled {
         let full = mode == FULL;
-        let total: usize = pre.funcs.iter().map(|f| f.code.len() + 1).sum();
-        let mut starts = Vec::with_capacity(pre.funcs.len());
-        let mut at = 0usize;
-        for f in &pre.funcs {
-            starts.push(u32::try_from(at).expect("program fits a u32 pc"));
-            at += f.code.len() + 1;
+        let mut starts = Vec::with_capacity(program.functions.len());
+        let mut total = 0usize;
+        for f in &program.functions {
+            starts.push(u32::try_from(total).expect("program fits a u32 pc"));
+            total += f.code.len() + 1;
         }
 
         let mut code = Vec::with_capacity(total);
+        let mut leaders = vec![false; total];
         let mut switches = Vec::new();
         let mut kernels = Vec::new();
         let mut expr_ifs = Vec::new();
         let mut wides = Vec::new();
-        let mut leaders = Vec::with_capacity(if full { total } else { 0 });
-        for (fid, f) in pre.funcs.iter().enumerate() {
-            let switch_base = switches.len() as u32;
-            for tbl in &f.switches {
-                switches.push(CSwitch::new(tbl.cases.clone(), tbl.default));
+        for (fid, func) in program.functions.iter().enumerate() {
+            let (lo, n) = (code.len(), func.code.len());
+            let is_leader = &mut leaders[lo..lo + n];
+            if n > 0 {
+                is_leader[0] = true;
             }
-            let lo = code.len();
-            for &op in &f.code {
-                code.push(translate(op, switch_base, &starts));
+            // A target past the end faults as FellOffEnd at the next
+            // fetch; clamped to `n` it lands on the guard slot instead.
+            let clamp = |t: usize| t.min(n) as u32;
+            for (pc, insn) in func.code.iter().enumerate() {
+                insn.for_each_target(|t| {
+                    if t < n {
+                        is_leader[t] = true;
+                    }
+                });
+                if (insn.is_branch() || matches!(insn, Insn::Return(_))) && pc + 1 < n {
+                    is_leader[pc + 1] = true;
+                }
+                if bad_operand(program, func, insn) {
+                    code.push(COp::BadOperand);
+                    continue;
+                }
+                code.push(match insn {
+                    Insn::Const(v) => COp::Const(*v),
+                    Insn::Load(i) => COp::Load(u32::from(*i)),
+                    Insn::Store(i) => COp::Store(u32::from(*i)),
+                    Insn::Iinc(i, d) => COp::Iinc(u32::from(*i), *d),
+                    Insn::Bin(op) => COp::Bin(*op),
+                    Insn::Neg => COp::Neg,
+                    Insn::Dup => COp::Dup,
+                    Insn::Pop => COp::Pop,
+                    Insn::Swap => COp::Swap,
+                    Insn::GetStatic(s) => COp::GetStatic(*s),
+                    Insn::PutStatic(s) => COp::PutStatic(*s),
+                    Insn::NewArray => COp::NewArray,
+                    Insn::ALoad => COp::ALoad,
+                    Insn::AStore => COp::AStore,
+                    Insn::ArrayLen => COp::ArrayLen,
+                    Insn::Goto(t) => COp::Goto(clamp(*t)),
+                    Insn::If(c, t) => COp::If(*c, clamp(*t)),
+                    Insn::IfCmp(c, t) => COp::IfCmp(*c, clamp(*t)),
+                    Insn::Switch { cases, default } => {
+                        let cases = cases.iter().map(|&(k, t)| (k, clamp(t))).collect();
+                        switches.push(CSwitch::new(cases, clamp(*default)));
+                        COp::Switch(switches.len() as u32 - 1)
+                    }
+                    Insn::Call(f) => {
+                        let callee = &program.functions[*f as usize];
+                        COp::Call {
+                            entry: starts[*f as usize],
+                            callee: *f,
+                            argc: callee.num_params,
+                            num_locals: callee.num_locals,
+                        }
+                    }
+                    Insn::Return(v) => COp::Return(*v),
+                    Insn::Print => COp::Print,
+                    Insn::ReadInput => COp::ReadInput,
+                    Insn::Nop => COp::Nop,
+                });
             }
-            fuse_compiled(&mut code[lo..], &f.leaders, &f.code, &mut wides, full);
-            if full {
-                leaders.extend_from_slice(&f.leaders);
-                leaders.push(false);
-            } else {
+            let is_leader = &leaders[lo..lo + n];
+            fuse_pairs(&mut code[lo..], is_leader);
+            fuse_compiled(&mut code[lo..], is_leader, &mut wides, full);
+            if !full {
                 fuse_kernels(&mut code[lo..], &mut kernels, &mut expr_ifs);
             }
             code.push(COp::EndGuard(fid as u32));
@@ -427,74 +512,143 @@ impl Compiled {
             expr_ifs,
             wides,
             starts,
-            num_locals: pre.funcs.iter().map(|f| f.num_locals).collect(),
-            leaders,
+            leaders: if full { leaders } else { Vec::new() },
         }
     }
 }
 
-/// 1:1 translation of one predecoded op. Targets stay relative; calls
-/// gain their absolute entry; switch indices shift into the program-wide
-/// table.
-fn translate(op: Op, switch_base: u32, starts: &[u32]) -> COp {
+/// Number of original instruction slots an op stands for when
+/// `fuse_compiled` reaches it: 1 for a plain op, 2 to 4 for a
+/// `fuse_pairs` superinstruction. Stepping a function's code by these
+/// widths visits exactly the reachable op heads (consumed slots are
+/// never leaders, so no control flow lands between a head and the
+/// next).
+fn width(op: COp) -> usize {
     match op {
-        Op::Const(v) => COp::Const(v),
-        Op::Load(n) => COp::Load(n),
-        Op::Store(n) => COp::Store(n),
-        Op::Iinc(n, d) => COp::Iinc(n, d),
-        Op::Bin(o) => COp::Bin(o),
-        Op::Neg => COp::Neg,
-        Op::Dup => COp::Dup,
-        Op::Pop => COp::Pop,
-        Op::Swap => COp::Swap,
-        Op::GetStatic(s) => COp::GetStatic(s),
-        Op::PutStatic(s) => COp::PutStatic(s),
-        Op::NewArray => COp::NewArray,
-        Op::ALoad => COp::ALoad,
-        Op::AStore => COp::AStore,
-        Op::ArrayLen => COp::ArrayLen,
-        Op::Goto(t) => COp::Goto(t),
-        Op::If(c, t) => COp::If(c, t),
-        Op::IfCmp(c, t) => COp::IfCmp(c, t),
-        Op::Switch(i) => COp::Switch(switch_base + i),
-        Op::Call {
-            callee,
-            argc,
-            num_locals,
-        } => {
-            COp::Call {
-                entry: starts[callee as usize],
-                callee,
-                argc: argc as u16,
-                num_locals: num_locals as u16,
+        COp::Load2(..)
+        | COp::LoadConst(..)
+        | COp::StoreLoad(..)
+        | COp::StoreGoto(..)
+        | COp::LoadIf(..)
+        | COp::LoadIfCmp(..)
+        | COp::ConstIfCmp(..)
+        | COp::IincGoto(..)
+        | COp::ConstBin(..)
+        | COp::LoadBin(..)
+        | COp::BinConst(..)
+        | COp::Bin2(..)
+        | COp::BinStore(..)
+        | COp::StoreIinc(..)
+        | COp::IincLoad(..) => 2,
+        COp::Load2IfCmp(..)
+        | COp::LoadConstIfCmp(..)
+        | COp::Load2Bin(..)
+        | COp::LoadConstBin(..) => 3,
+        COp::Load2BinStore(..) | COp::LoadConstBinStore(..) => 4,
+        _ => 1,
+    }
+}
+
+/// First peephole pass over one function's decoded code: fuses hot
+/// adjacent op sequences into one dispatch when no control flow can
+/// land between them (the consumed slots are not block leaders, so no
+/// branch, switch, or call-return resume targets them — returns resume
+/// at `call_pc + 1`, and `Call` is never a fusion head). The consumed
+/// slots keep their 1:1 ops but become unreachable; pc numbering is
+/// untouched, so branch targets, leader flags, and trace sites stay
+/// valid. Each fused op charges the instruction count the originals
+/// would have cost, keeping budget semantics identical.
+fn fuse_pairs(code: &mut [COp], leaders: &[bool]) {
+    let mut pc = 0;
+    while pc + 1 < code.len() {
+        if leaders[pc + 1] {
+            pc += 1;
+            continue;
+        }
+        // Longest first. Quads: whole `dst = a op b` statements.
+        // Operands of the multi-word forms must fit u16 to keep every
+        // fused op at two words; longer functions simply fall back to
+        // the shorter forms.
+        if pc + 3 < code.len() && !leaders[pc + 2] && !leaders[pc + 3] {
+            let fused = match (code[pc], code[pc + 1], code[pc + 2], code[pc + 3]) {
+                (COp::Load(a), COp::Load(b), COp::Bin(op), COp::Store(d)) => {
+                    match (u16::try_from(a), u16::try_from(b), u16::try_from(d)) {
+                        (Ok(a), Ok(b), Ok(d)) => Some(COp::Load2BinStore(a, b, op, d)),
+                        _ => None,
+                    }
+                }
+                (COp::Load(n), COp::Const(v), COp::Bin(op), COp::Store(d)) => {
+                    match (u16::try_from(n), u16::try_from(d)) {
+                        (Ok(n), Ok(d)) => Some(COp::LoadConstBinStore(n, op, d, v)),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            if let Some(op) = fused {
+                code[pc] = op;
+                pc += 4;
+                continue;
             }
         }
-        Op::BadCall(f) => COp::BadCall(f),
-        Op::Return(v) => COp::Return(v),
-        Op::Print => COp::Print,
-        Op::ReadInput => COp::ReadInput,
-        Op::Nop => COp::Nop,
-        Op::Load2(a, b) => COp::Load2(a, b),
-        Op::LoadConst(n, v) => COp::LoadConst(n, v),
-        Op::StoreLoad(a, b) => COp::StoreLoad(a, b),
-        Op::StoreGoto(n, t) => COp::StoreGoto(n, t),
-        Op::LoadIf(n, c, t) => COp::LoadIf(n, c, t),
-        Op::LoadIfCmp(n, c, t) => COp::LoadIfCmp(n, c, t),
-        Op::ConstIfCmp(v, c, t) => COp::ConstIfCmp(v, c, t),
-        Op::IincGoto(n, d, t) => COp::IincGoto(n, d, t),
-        Op::Load2IfCmp(a, b, c, t) => COp::Load2IfCmp(a, b, c, t),
-        Op::LoadConstIfCmp(n, c, t, v) => COp::LoadConstIfCmp(n, c, t, v),
-        Op::ConstBin(v, o) => COp::ConstBin(v, o),
-        Op::LoadBin(n, o) => COp::LoadBin(n, o),
-        Op::BinConst(o, v) => COp::BinConst(o, v),
-        Op::Bin2(o1, o2) => COp::Bin2(o1, o2),
-        Op::BinStore(o, n) => COp::BinStore(o, n),
-        Op::StoreIinc(n, m, d) => COp::StoreIinc(n, m, d),
-        Op::IincLoad(n, d, m) => COp::IincLoad(n, d, m),
-        Op::Load2Bin(a, b, o) => COp::Load2Bin(a, b, o),
-        Op::LoadConstBin(n, o, v) => COp::LoadConstBin(n, o, v),
-        Op::Load2BinStore(a, b, o, d) => COp::Load2BinStore(a, b, o, d),
-        Op::LoadConstBinStore(n, o, d, v) => COp::LoadConstBinStore(n, o, d, v),
+        // Triples: loop heads and two-operand expressions.
+        if pc + 2 < code.len() && !leaders[pc + 2] {
+            let fused = match (code[pc], code[pc + 1], code[pc + 2]) {
+                (COp::Load(a), COp::Load(b), COp::IfCmp(c, t)) => {
+                    match (u16::try_from(a), u16::try_from(b), u16::try_from(t)) {
+                        (Ok(a), Ok(b), Ok(t)) => Some(COp::Load2IfCmp(a, b, c, t)),
+                        _ => None,
+                    }
+                }
+                (COp::Load(n), COp::Const(v), COp::IfCmp(c, t)) => {
+                    match (u16::try_from(n), u16::try_from(t)) {
+                        (Ok(n), Ok(t)) => Some(COp::LoadConstIfCmp(n, c, t, v)),
+                        _ => None,
+                    }
+                }
+                (COp::Load(a), COp::Load(b), COp::Bin(op)) => {
+                    match (u16::try_from(a), u16::try_from(b)) {
+                        (Ok(a), Ok(b)) => Some(COp::Load2Bin(a, b, op)),
+                        _ => None,
+                    }
+                }
+                (COp::Load(n), COp::Const(v), COp::Bin(op)) => match u16::try_from(n) {
+                    Ok(n) => Some(COp::LoadConstBin(n, op, v)),
+                    _ => None,
+                },
+                _ => None,
+            };
+            if let Some(op) = fused {
+                code[pc] = op;
+                pc += 3;
+                continue;
+            }
+        }
+        let fused = match (code[pc], code[pc + 1]) {
+            (COp::Load(a), COp::Load(b)) => Some(COp::Load2(a, b)),
+            (COp::Load(n), COp::Const(v)) => Some(COp::LoadConst(n, v)),
+            (COp::Store(a), COp::Load(b)) => Some(COp::StoreLoad(a, b)),
+            (COp::Store(n), COp::Goto(t)) => Some(COp::StoreGoto(n, t)),
+            (COp::Load(n), COp::If(c, t)) => Some(COp::LoadIf(n, c, t)),
+            (COp::Load(n), COp::IfCmp(c, t)) => Some(COp::LoadIfCmp(n, c, t)),
+            (COp::Const(v), COp::IfCmp(c, t)) => Some(COp::ConstIfCmp(v, c, t)),
+            (COp::Iinc(n, d), COp::Goto(t)) => Some(COp::IincGoto(n, d, t)),
+            (COp::Const(v), COp::Bin(op)) => Some(COp::ConstBin(v, op)),
+            (COp::Load(n), COp::Bin(op)) => Some(COp::LoadBin(n, op)),
+            (COp::Bin(op), COp::Const(v)) => Some(COp::BinConst(op, v)),
+            (COp::Bin(op1), COp::Bin(op2)) => Some(COp::Bin2(op1, op2)),
+            (COp::Bin(op), COp::Store(n)) => Some(COp::BinStore(op, n)),
+            (COp::Store(n), COp::Iinc(m, d)) => Some(COp::StoreIinc(n, m, d)),
+            (COp::Iinc(n, d), COp::Load(m)) => Some(COp::IincLoad(n, d, m)),
+            _ => None,
+        };
+        match fused {
+            Some(op) => {
+                code[pc] = op;
+                pc += 2;
+            }
+            None => pc += 1,
+        }
     }
 }
 
@@ -502,24 +656,18 @@ fn no_fault(op: BinOp) -> bool {
     !matches!(op, BinOp::Div | BinOp::Rem)
 }
 
-/// Second peephole pass over one function's translated code: fuses
-/// head sequences the predecoded 16-byte form could not hold. The walk
-/// steps by predecoded op width, which visits exactly the reachable
+/// Second peephole pass over one function's code: fuses head sequences
+/// too long or too wide for `fuse_pairs`, and runs that cross leaders.
+/// The walk steps by [`width`], which visits exactly the reachable
 /// heads, and dispatches on the head op (each pattern has its own);
 /// a fusion additionally requires every interior head to be a
 /// non-leader so no branch can land inside the group. Consumed slots
-/// keep their 1:1 translations but become unreachable — pc numbering,
-/// branch targets, and trace sites are untouched. Under `full` (block
-/// and snapshot recording) no fusion may run through a leader at all,
-/// so the two that do — an increment fused into its loop header and
-/// the jump-threaded back edges — are skipped.
-fn fuse_compiled(
-    code: &mut [COp],
-    leaders: &[bool],
-    pre: &[Op],
-    wides: &mut Vec<WideCmp>,
-    full: bool,
-) {
+/// keep the ops `fuse_pairs` left them but become unreachable — pc
+/// numbering, branch targets, and trace sites are untouched. Under
+/// `full` (block and snapshot recording) no fusion may run through a
+/// leader at all, so the two that do — an increment fused into its
+/// loop header and the jump-threaded back edges — are skipped.
+fn fuse_compiled(code: &mut [COp], leaders: &[bool], wides: &mut Vec<WideCmp>, full: bool) {
     let n = code.len();
     let mut wide = |w: WideCmp| {
         let idx = u32::try_from(wides.len()).expect("fits the code");
@@ -621,9 +769,9 @@ fn fuse_compiled(
             },
             // A counting loop's increment feeding its compare-branch
             // header: Iinc + LoadConstIfCmp. The header may be a leader
-            // (except under `full`) — its slot keeps the 1:1
-            // translation, so branches landing on it execute the
-            // original op; only the fall-through edge takes the fused
+            // (except under `full`) — its slot keeps the header op, so
+            // branches landing on it execute that op; only the
+            // fall-through edge takes the fused
             // path, which emits the identical branch event.
             COp::Iinc(iinc_n, d) if pc + 4 <= n && !(full && leaders[pc + 1]) => {
                 match (code[pc + 1], u16::try_from(iinc_n), i16::try_from(d)) {
@@ -659,8 +807,8 @@ fn fuse_compiled(
             // numbering, branch sites, and targets are untouched — the
             // back edge just stops costing a separate dispatch. The
             // header patterns are never fusion heads in any pass, so the
-            // target slot always still holds its 1:1 translation
-            // whichever order the walk visits the two.
+            // target slot always still holds the header op `fuse_pairs`
+            // formed, whichever order the walk visits the two.
             COp::Goto(t) if !full && (t as usize) < n => {
                 match (code[t as usize], u16::try_from(t)) {
                     (COp::LoadConstIfCmp(m, cond, tt, v), Ok(t)) => {
@@ -710,7 +858,7 @@ fn fuse_compiled(
                 code[pc] = op;
                 pc += width;
             }
-            None => pc += op_width(pre[pc]),
+            None => pc += width(code[pc]),
         }
     }
 }
@@ -836,7 +984,12 @@ pub(crate) fn run_compiled<S: TraceSink, const MODE: u8>(
     let mut frames: Vec<CFrame> = Vec::new();
 
     let entry = program.entry.0;
-    locals.resize(compiled.num_locals[entry as usize] as usize, 0);
+    let Some(entry_fn) = program.functions.get(entry as usize) else {
+        return Err(VmError::BadEntry {
+            func: program.entry,
+        });
+    };
+    locals.resize(entry_fn.num_locals as usize, 0);
     let mut func: u32 = entry;
     let mut base: usize = compiled.starts[entry as usize] as usize;
     let mut pc: usize = base;
@@ -1120,45 +1273,11 @@ pub(crate) fn run_compiled<S: TraceSink, const MODE: u8>(
                 locals_base = new_locals_base;
                 stack_base = split;
             }
-            COp::BadCall(f) => {
-                if frames.len() + 1 >= MAX_CALL_DEPTH {
-                    return Err(VmError::CallStackOverflow);
-                }
-                // Unresolvable at predecode time: the reference slow
-                // path, panicking exactly where the original would.
-                let callee = program.function(FuncId(f));
-                let argc = callee.num_params as usize;
-                if stack.len() - stack_base < argc {
-                    return Err(VmError::StackUnderflow {
-                        func: FuncId(func),
-                        pc: pc - base,
-                    });
-                }
-                locals_charge(
-                    locals.len(),
-                    callee.num_locals as usize,
-                    FuncId(func),
-                    pc - base,
-                )?;
-                let mut callee_locals = vec![0i64; callee.num_locals as usize];
-                let split = stack.len() - argc;
-                for (i, v) in stack.drain(split..).enumerate() {
-                    callee_locals[i] = v;
-                }
-                let new_locals_base = locals.len();
-                locals.extend_from_slice(&callee_locals);
-                frames.push(CFrame {
-                    ret_pc: pc + 1,
-                    base,
-                    func,
-                    locals_base,
-                    stack_base,
-                });
-                func = f;
-                base = compiled.starts[f as usize] as usize;
-                pc = base;
-                locals_base = new_locals_base;
-                stack_base = split;
+            COp::BadOperand => {
+                return Err(VmError::BadOperand {
+                    func: FuncId(func),
+                    pc: pc - base,
+                })
             }
             COp::Return(with_value) => {
                 let ret = if with_value { Some(pop!()) } else { None };
@@ -1577,17 +1696,133 @@ pub(crate) fn run_compiled<S: TraceSink, const MODE: u8>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{FunctionBuilder, ProgramBuilder};
+    use crate::cfg::Cfg;
+    use crate::interp::Vm;
 
     #[test]
     fn compiled_ops_stay_16_bytes() {
-        // Same discipline as the predecoded form: the flattened array's
+        // `Insn` is heap-headed and ~40 bytes; the flattened array's
         // cache traffic is the dispatch loop's memory bound.
         assert!(std::mem::size_of::<COp>() <= 16);
     }
 
+    /// A two-function program: `main` calls `callee` once.
+    fn call_program() -> (Program, FuncId, FuncId) {
+        let mut pb = ProgramBuilder::new();
+        let mut callee = FunctionBuilder::new("sub", 2, 1);
+        callee.load(0).load(1).sub().ret();
+        let callee_id = pb.add_function(callee.finish().unwrap());
+        let mut main = FunctionBuilder::new("main", 0, 0);
+        main.push(1).push(2).call(callee_id).print().ret_void();
+        let main_id = pb.add_function(main.finish().unwrap());
+        (pb.finish(main_id).unwrap(), callee_id, main_id)
+    }
+
+    #[test]
+    fn full_mode_leaders_match_cfg_is_leader_per_function() {
+        use crate::insn::Cond;
+        let mut pb = ProgramBuilder::new();
+        let mut sub = FunctionBuilder::new("abs", 1, 1);
+        let neg = sub.new_label();
+        sub.load(0).if_zero(Cond::Lt, neg);
+        sub.load(0).ret();
+        sub.bind(neg);
+        sub.load(0).raw(Insn::Neg).ret();
+        let sub_id = pb.add_function(sub.finish().unwrap());
+        let mut f = FunctionBuilder::new("main", 0, 1);
+        let head = f.new_label();
+        let out = f.new_label();
+        f.bind(head);
+        f.load(0).push(10).if_cmp(Cond::Ge, out);
+        f.load(0).call(sub_id).print().iinc(0, 1).goto(head);
+        f.bind(out);
+        f.ret_void();
+        let main = pb.add_function(f.finish().unwrap());
+        let p = pb.finish(main).unwrap();
+        let compiled = Compiled::build(&p, FULL);
+        for (id, func) in p.iter_functions() {
+            let lo = compiled.starts[id.0 as usize] as usize;
+            let n = func.code.len();
+            let cfg = Cfg::build(func);
+            assert_eq!(
+                compiled.leaders[lo..lo + n],
+                cfg.is_leader[..],
+                "{}",
+                func.name
+            );
+            assert!(!compiled.leaders[lo + n], "a guard slot is no leader");
+        }
+        // The recognition modes keep no leader table.
+        assert!(Compiled::build(&p, BRANCHES).leaders.is_empty());
+    }
+
+    #[test]
+    fn a_call_carries_its_callees_entry_arity_and_frame_size() {
+        let (p, callee_id, main_id) = call_program();
+        let compiled = Compiled::build(&p, BRANCHES);
+        let main_start = compiled.starts[main_id.0 as usize] as usize;
+        assert_eq!(
+            compiled.code[main_start + 2],
+            COp::Call {
+                entry: compiled.starts[callee_id.0 as usize],
+                callee: callee_id.0,
+                argc: 2,
+                num_locals: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn out_of_range_targets_clamp_to_the_guard_and_fall_off_the_end() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 0);
+        f.ret_void();
+        let id = pb.add_function(f.finish().unwrap());
+        let mut p = pb.finish_unverified(id);
+        p.function_mut(id).code.insert(0, Insn::Goto(usize::MAX));
+        let compiled = Compiled::build(&p, BRANCHES);
+        // code.len() == 2: the clamped target is the guard slot.
+        assert_eq!(compiled.code[0], COp::Goto(2));
+        assert_eq!(compiled.code[2], COp::EndGuard(id.0));
+        let want = Err(VmError::FellOffEnd { func: id });
+        let vm = Vm::new(&p);
+        assert_eq!(vm.run(), want);
+        assert_eq!(vm.run_reference(), want);
+    }
+
+    #[test]
+    fn switch_tables_move_out_of_line_with_clamped_targets() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = FunctionBuilder::new("main", 0, 0);
+        let a = f.new_label();
+        let d = f.new_label();
+        f.push(1);
+        f.switch(&[(1, a), (2, a)], d);
+        f.bind(a);
+        f.ret_void();
+        f.bind(d);
+        f.ret_void();
+        let id = pb.add_function(f.finish().unwrap());
+        let mut p = pb.finish(id).unwrap();
+        let compiled = Compiled::build(&p, BRANCHES);
+        assert_eq!(compiled.code[1], COp::Switch(0));
+        assert_eq!(compiled.switches.len(), 1);
+        assert_eq!(compiled.switches[0].cases, vec![(1, 2), (2, 2)]);
+        assert_eq!(compiled.switches[0].default, 3);
+
+        // A case past the end lands on the guard slot (index 4).
+        p.function_mut(id).code[1] = Insn::Switch {
+            cases: vec![(1, 99)],
+            default: 3,
+        };
+        let compiled = Compiled::build(&p, BRANCHES);
+        assert_eq!(compiled.switches[0].cases, vec![(1, 4)]);
+        assert_eq!(Vm::new(&p).run(), Err(VmError::FellOffEnd { func: id }));
+    }
+
     #[test]
     fn fused_expr_matches_the_embedder_bit_extract_shape() {
-        use crate::builder::{FunctionBuilder, ProgramBuilder};
         // t = (x >> (i - 1)) & 1 — the loop_snippet body shape. The
         // body head is a branch target (as in the embedder's loop), so
         // the preceding store can't fuse across into the first load.
@@ -1605,8 +1840,7 @@ mod tests {
         f.load(2).print().ret_void();
         let main = pb.add_function(f.finish().unwrap());
         let p = pb.finish(main).unwrap();
-        let pre = Predecoded::build(&p);
-        let compiled = Compiled::build(&pre, BRANCHES);
+        let compiled = Compiled::build(&p, BRANCHES);
         assert!(
             compiled
                 .code

@@ -84,6 +84,21 @@ pub enum VmError {
         /// Program counter of the faulting call.
         pc: usize,
     },
+    /// An instruction names a local, static or function that does not
+    /// exist, or calls a function whose parameters exceed its frame
+    /// (only an unverified program can hold one).
+    BadOperand {
+        /// Function in which the fault occurred.
+        func: FuncId,
+        /// Program counter of the faulting instruction.
+        pc: usize,
+    },
+    /// The program's entry names no function (only an unverified
+    /// program can have one); raised before the first instruction.
+    BadEntry {
+        /// The missing entry function.
+        func: FuncId,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -133,6 +148,14 @@ impl fmt::Display for VmError {
                 "call exceeds the locals cap in fn#{} at pc {pc}",
                 func.0
             ),
+            VmError::BadOperand { func, pc } => write!(
+                f,
+                "operand names a missing local, static or function in fn#{} at pc {pc}",
+                func.0
+            ),
+            VmError::BadEntry { func } => {
+                write!(f, "entry fn#{} does not exist", func.0)
+            }
         }
     }
 }

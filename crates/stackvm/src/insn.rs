@@ -202,7 +202,7 @@ impl Insn {
     }
 
     /// Calls `f` on every explicit branch target of this instruction,
-    /// allocating nothing (the predecoder and the CFG builder visit
+    /// allocating nothing (the compile step and the CFG builder visit
     /// every instruction of a program).
     pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
         match self {

@@ -11,17 +11,20 @@
 //!   form ([`crate::compile`]) under every trace configuration, streaming
 //!   events to a [`TraceSink`] — the path embedding and recognition use;
 //! * [`Vm::run_reference`] is the original enum-dispatch interpreter,
-//!   kept verbatim as the semantic oracle the property tests compare
-//!   the compiled engine against.
+//!   kept as the semantic oracle the property tests compare the
+//!   compiled engine against.
+//!
+//! Neither panics on an unverified program: an instruction that names a
+//! missing local, static or function is [`VmError::BadOperand`] at its
+//! pc, and an entry that names no function is [`VmError::BadEntry`].
 
 use crate::cfg::Cfg;
 use crate::compile::{run_compiled, trace_mode, Compiled, BRANCHES, FULL, OFF};
 use crate::insn::{BinOp, Insn};
-use crate::predecode::Predecoded;
-use crate::program::{FuncId, Program};
+use crate::program::{FuncId, Function, Program};
 use crate::trace::{Site, SnapshotData, Trace, TraceConfig, TraceEvent, TraceSink};
 use crate::VmError;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Default instruction budget (generous; guards against runaway loops in
 /// attacked programs).
@@ -99,14 +102,12 @@ pub struct RunResult {
 #[derive(Debug)]
 pub struct Vm<'p> {
     program: &'p Program,
-    /// The decoded program, until the compile step consumes it (a
-    /// program as large as the Jess-like host would otherwise hold both
-    /// forms, ~1.3 MB each, for the whole run).
-    predecoded: Mutex<Option<Predecoded>>,
     input: Vec<i64>,
     budget: u64,
     trace_config: TraceConfig,
-    /// Lazily-built compiled form, for the trace mode of `trace_config`.
+    /// The compiled form, for the trace mode of `trace_config`: the
+    /// only form a `Vm` holds, decoded on the first run or
+    /// [`Vm::prepare`].
     compiled: OnceLock<Compiled>,
 }
 
@@ -120,12 +121,11 @@ struct Frame {
 }
 
 impl<'p> Vm<'p> {
-    /// Prepares an interpreter, flattening the program into its dense
-    /// [`Predecoded`] form (built once per program, linear in code size).
+    /// Prepares an interpreter for `program`. Does no work: the program
+    /// is decoded on the first run, or by [`Vm::prepare`].
     pub fn new(program: &'p Program) -> Self {
         Vm {
             program,
-            predecoded: Mutex::new(Some(Predecoded::build(program))),
             input: Vec::new(),
             budget: DEFAULT_BUDGET,
             trace_config: TraceConfig::off(),
@@ -150,29 +150,21 @@ impl<'p> Vm<'p> {
     pub fn with_trace(mut self, config: TraceConfig) -> Self {
         self.trace_config = config;
         // A form compiled already was compiled for the old trace mode.
-        if self.compiled.take().is_some() {
-            self.predecoded = Mutex::new(Some(Predecoded::build(self.program)));
-        }
+        self.compiled.take();
         self
     }
 
-    /// Forces the compile step (normally lazy, on the first run).
-    /// Sessions call this under a telemetry span so compile time is
-    /// observable apart from the run.
+    /// Runs the whole front end now instead of on the first run: decodes
+    /// the program into its compiled form for the configured trace mode
+    /// and fuses it (linear in code size). Sessions call this under a
+    /// telemetry span so compile time is observable apart from the run.
     pub fn prepare(&self) {
         self.compiled();
     }
 
     fn compiled(&self) -> &Compiled {
-        self.compiled.get_or_init(|| {
-            let predecoded = self
-                .predecoded
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("the compile step runs once");
-            Compiled::build(&predecoded, trace_mode(&self.trace_config))
-        })
+        self.compiled
+            .get_or_init(|| Compiled::build(self.program, trace_mode(&self.trace_config)))
     }
 
     /// Runs the program's entry function to completion, collecting the
@@ -184,7 +176,10 @@ impl<'p> Vm<'p> {
     /// bad array access, falling off a function end, budget exhaustion,
     /// call-stack overflow, or a heap or locals cap. (Attacked programs
     /// routinely fault — the resilience experiments rely on observing
-    /// this.)
+    /// this.) An unverified program may also fail with
+    /// [`VmError::BadEntry`] before its first instruction, or with
+    /// [`VmError::BadOperand`] at an instruction that names a missing
+    /// local, static or function.
     pub fn run(&self) -> Result<Outcome, VmError> {
         let mut trace = Trace::new();
         let r = self.run_with_sink(&mut trace)?;
@@ -216,14 +211,21 @@ impl<'p> Vm<'p> {
     }
 
     /// The original enum-dispatch interpreter, preserved as the semantic
-    /// oracle: the `compiled_engine_matches_reference` property test
+    /// oracle: the `execution_tiers_match_reference` property test
     /// asserts [`Vm::run`] agrees with it — outcome, trace, and error —
-    /// under every trace mode over randomized programs.
+    /// under every trace mode over randomized programs. It checks each
+    /// instruction's operands before executing it, so an unverified
+    /// program gets the compiled engine's [`VmError::BadOperand`].
     ///
     /// # Errors
     ///
     /// As for [`Vm::run`].
     pub fn run_reference(&self) -> Result<Outcome, VmError> {
+        let Some(entry_fn) = self.program.functions.get(self.program.entry.0 as usize) else {
+            return Err(VmError::BadEntry {
+                func: self.program.entry,
+            });
+        };
         let cfgs: Vec<Cfg> = self.program.functions.iter().map(Cfg::build).collect();
         let mut statics = vec![0i64; self.program.statics.len()];
         let mut heap: Vec<Vec<i64>> = Vec::new();
@@ -236,7 +238,6 @@ impl<'p> Vm<'p> {
         let mut executed: u64 = 0;
         let record_leaders = self.trace_config.blocks || self.trace_config.snapshots;
 
-        let entry_fn = self.program.function(self.program.entry);
         // Locals cells live across all frames (the compiled engine's
         // locals arena length).
         let mut live_locals = entry_fn.num_locals as usize;
@@ -289,6 +290,14 @@ impl<'p> Vm<'p> {
                 }
             }
 
+            let insn = &func.code[pc];
+            if bad_operand(self.program, func, insn) {
+                return Err(VmError::BadOperand {
+                    func: frame.func,
+                    pc,
+                });
+            }
+
             macro_rules! pop {
                 () => {
                     frame.stack.pop().ok_or(VmError::StackUnderflow {
@@ -298,7 +307,7 @@ impl<'p> Vm<'p> {
                 };
             }
 
-            match &func.code[pc] {
+            match insn {
                 Insn::Const(v) => {
                     frame.stack.push(*v);
                     frame.pc += 1;
@@ -533,6 +542,24 @@ impl<'p> Vm<'p> {
             }
         }
         unreachable!("loop exits via Return from the entry frame");
+    }
+}
+
+/// Whether `insn`, in `func` of `program`, names a local, static or
+/// function that does not exist, or calls a function whose parameters
+/// exceed its frame. The verifier rejects every such program; on an
+/// unverified one both engines fail with [`VmError::BadOperand`] when
+/// they reach the instruction, the compiled engine through the one
+/// fault op it decodes the instruction to.
+pub(crate) fn bad_operand(program: &Program, func: &Function, insn: &Insn) -> bool {
+    match *insn {
+        Insn::Load(n) | Insn::Store(n) | Insn::Iinc(n, _) => n >= func.num_locals,
+        Insn::GetStatic(s) | Insn::PutStatic(s) => s as usize >= program.statics.len(),
+        Insn::Call(f) => !matches!(
+            program.functions.get(f as usize),
+            Some(callee) if callee.num_params <= callee.num_locals
+        ),
+        _ => false,
     }
 }
 
@@ -1106,6 +1133,68 @@ mod tests {
         let vm = Vm::new(p);
         assert_eq!(vm.run(), Err(want.clone()), "compiled");
         assert_eq!(vm.run_reference(), Err(want), "reference");
+    }
+
+    /// `main` (one local) reads a static, calls `sub` (one parameter,
+    /// two locals) and stores: every operand kind a bad-operand case can
+    /// break.
+    fn operand_program() -> (Program, FuncId, FuncId) {
+        let mut pb = ProgramBuilder::new();
+        let g = pb.add_static("g");
+        let mut sub = FunctionBuilder::new("sub", 1, 1);
+        sub.load(0).ret();
+        let sub_id = pb.add_function(sub.finish().unwrap());
+        let mut main = FunctionBuilder::new("main", 0, 1);
+        // pcs 0..=3: get g; store 0; iinc 0; load 0; 4..=6: call; put g; ret
+        main.get_static(g).store(0).iinc(0, 1).load(0);
+        main.call(sub_id).put_static(g).ret_void();
+        let main_id = pb.add_function(main.finish().unwrap());
+        (pb.finish(main_id).unwrap(), main_id, sub_id)
+    }
+
+    #[test]
+    fn bad_operands_and_entries_are_the_same_typed_error_on_both_engines() {
+        let (good, main, sub) = operand_program();
+        assert_eq!(Vm::new(&good).run().map(|o| o.statics), Ok(vec![1]));
+        let bad_at = |pc: usize, insn: Insn| {
+            let mut p = good.clone();
+            p.function_mut(main).code[pc] = insn;
+            (p, VmError::BadOperand { func: main, pc })
+        };
+        let mut cases = vec![
+            bad_at(3, Insn::Load(1)),
+            bad_at(1, Insn::Store(1)),
+            bad_at(2, Insn::Iinc(7, 1)),
+            bad_at(0, Insn::GetStatic(1)),
+            bad_at(5, Insn::PutStatic(9)),
+            bad_at(4, Insn::Call(2)),
+        ];
+        // A callee whose parameters exceed its frame.
+        let (mut p, _) = bad_at(4, Insn::Call(sub.0));
+        p.function_mut(sub).num_params = 3;
+        cases.push((p, VmError::BadOperand { func: main, pc: 4 }));
+        // A bad entry, and no functions at all.
+        let mut p = good.clone();
+        p.entry = FuncId(2);
+        cases.push((p, VmError::BadEntry { func: FuncId(2) }));
+        let mut p = good.clone();
+        p.functions.clear();
+        cases.push((p, VmError::BadEntry { func: main }));
+        for (p, want) in cases {
+            assert!(
+                crate::verify::verify(&p).is_err(),
+                "{want:?}: the verifier rejects it"
+            );
+            for config in [
+                TraceConfig::off(),
+                TraceConfig::branches_only(),
+                TraceConfig::full(),
+            ] {
+                let vm = Vm::new(&p).with_trace(config);
+                assert_eq!(vm.run(), Err(want.clone()), "compiled");
+                assert_eq!(vm.run_reference(), Err(want.clone()), "reference");
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod compile;
 pub mod edit;
 pub mod insn;
 pub mod interp;
-pub mod predecode;
 pub mod pretty;
 pub mod program;
 pub mod trace;

@@ -19,6 +19,10 @@ cargo build --release
 echo "==> warnings gate: clippy is clean across the workspace"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> docs gate: rustdoc is clean across the workspace"
+# A broken or private intra-doc link (say, to a deleted type) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
@@ -133,7 +137,7 @@ echo "==> native stepping gate: one stepping loop == the per-function loops it r
 cargo test -q --release -p pathmark --test native_stepping
 cargo test -q --release -p pathmark-core --test extract_memory
 
-echo "==> embed equivalence gate: one-pass embed == per-piece path, verifier == its reference"
+echo "==> embed equivalence gate: one-pass embed == per-piece path, verifier == its reference, engines agree on mutants"
 # Embedder::embed_with_trace reads the host trace once and splices each
 # touched function once. Its marked program and EmbedReport must equal
 # the per-piece path it replaced (kept as a test-only reference) on the
@@ -143,7 +147,9 @@ echo "==> embed equivalence gate: one-pass embed == per-piece path, verifier == 
 # 32); a host whose locals leave no room gets a typed error. The
 # verifier must return what its predecessor returns on every workload
 # host, marked and attacked copy and on seeded hostile mutations of
-# them. 50,000 settled serve jobs must cost the journal at most 238 B of
+# them, and the compiled engine what the reference interpreter returns
+# on those mutants run unverified (typed errors, never a panic).
+# 50,000 settled serve jobs must cost the journal at most 238 B of
 # VmRSS each.
 cargo test -q --release -p pathmark-core --lib java::embed
 cargo test -q --release -p pathmark --test verifier_equivalence
@@ -167,10 +173,11 @@ echo "==> trace-tier gate: the compiled tracer must beat the last predecoded bas
 serial_row() {
     grep -o '"mode":"serial",\("tier":"compiled",\)\{0,1\}"workers"[^}]*' "$1" | head -1
 }
-# The predecoded engine is gone, so the gate compares with its last
-# checked-in figure (serial trace stage, ms per 16 copies), pinned here:
-# comparing with the refreshed snapshot's own compiled row would
-# ratchet on noise.
+# The predecoded engine and form are gone (the compile step decodes
+# bytecode straight into the compiled form), so the gate compares with
+# the engine's last checked-in figure (serial trace stage, ms per 16
+# copies), pinned here: comparing with the refreshed snapshot's own
+# compiled row would ratchet on noise.
 PREDECODED_TRACE_MS=11.952
 run_trace=$(serial_row "$SMOKE/BENCH_recognize.json" | grep -o '"trace":[0-9.]*' | cut -d: -f2)
 awk "BEGIN { exit !($run_trace < $PREDECODED_TRACE_MS) }" \

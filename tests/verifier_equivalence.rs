@@ -5,13 +5,17 @@
 //! return-arity flips; stack-depth changes that break joins; empty
 //! functions; random instructions). Both verifiers must return the same
 //! `Result`, the first error's function, pc and reason included, and
-//! neither may panic.
+//! neither may panic. The same mutants, run unverified, must get the
+//! same `Result` from the compiled engine and the reference interpreter.
 
 use pathmark::attacks::java as jattacks;
-use pathmark::core::java::{Embedder, JavaConfig};
+use pathmark::core::java::{Embedder, JavaConfig, Recognizer};
 use pathmark::core::key::{Watermark, WatermarkKey};
+use pathmark::core::WatermarkError;
 use pathmark::crypto::Prng;
 use pathmark::vm::insn::{BinOp, Cond, Insn};
+use pathmark::vm::interp::Vm;
+use pathmark::vm::trace::TraceConfig;
 use pathmark::vm::{FuncId, Program, VmError};
 
 /// Mutants per small program, and per program of over 10k instructions:
@@ -185,13 +189,15 @@ fn assert_agree(program: &Program, what: &str) -> Result<(), VmError> {
 /// A Section 5.1.2 attack at a fixed seed.
 type Attack = fn(&mut Program);
 
-/// The valid programs: both workload hosts, marked copies of each under
-/// every codegen policy, and attacked copies of those.
-fn valid_programs() -> Vec<(String, Program)> {
+/// The valid programs, each with its host's secret input: both workload
+/// hosts, marked copies of each under every codegen policy, and attacked
+/// copies of those.
+fn valid_programs() -> Vec<(String, Program, Vec<i64>)> {
     use pathmark::core::java::CodegenPolicy;
     let mut out = Vec::new();
     for w in pathmark::workloads::java::all() {
-        out.push((w.name.to_string(), w.program.clone()));
+        let input = w.secret_input.clone();
+        out.push((w.name.to_string(), w.program.clone(), input.clone()));
         let config = JavaConfig::for_watermark_bits(128).with_pieces(24);
         let base = WatermarkKey::new(1, w.secret_input.clone());
         let trace = Embedder::builder(base, config.clone())
@@ -216,7 +222,11 @@ fn valid_programs() -> Vec<(String, Program)> {
                 .embed_with_trace(&w.program, &watermark, &trace)
                 .unwrap()
                 .program;
-            out.push((format!("{} marked {policy:?}", w.name), marked));
+            out.push((
+                format!("{} marked {policy:?}", w.name),
+                marked,
+                input.clone(),
+            ));
         }
         let marked = out.last().unwrap().1.clone();
         let attacks: [(&str, Attack); 9] = [
@@ -239,7 +249,11 @@ fn valid_programs() -> Vec<(String, Program)> {
         for (name, attack) in attacks {
             let mut attacked = marked.clone();
             attack(&mut attacked);
-            out.push((format!("{} attacked by {name}", w.name), attacked));
+            out.push((
+                format!("{} attacked by {name}", w.name),
+                attacked,
+                input.clone(),
+            ));
         }
     }
     out
@@ -247,7 +261,7 @@ fn valid_programs() -> Vec<(String, Program)> {
 
 #[test]
 fn workload_marked_and_attacked_programs_verify_under_both() {
-    for (what, program) in valid_programs() {
+    for (what, program, _) in valid_programs() {
         assert_agree(&program, &what).unwrap_or_else(|e| panic!("{what}: {e}"));
     }
 }
@@ -276,6 +290,35 @@ fn random_insn(rng: &mut Prng, program: &Program, func: usize) -> Insn {
         },
         _ => Insn::Return(rng.chance(0.5)),
     }
+}
+
+/// `counts.0` for a small program, `counts.1` for one of over 10k
+/// instructions.
+fn mutants_of(program: &Program, counts: (usize, usize)) -> usize {
+    let size: usize = program.functions.iter().map(|f| f.code.len()).sum();
+    if size > 10_000 {
+        counts.1
+    } else {
+        counts.0
+    }
+}
+
+/// A seeded hostile mutant of `program`: one to three [`mutate`] edits,
+/// and rarely a parameter count past the frame, an entry that names no
+/// function, or no functions at all.
+fn hostile_mutant(rng: &mut Prng, program: &Program) -> Program {
+    let mut mutant = program.clone();
+    for _ in 0..1 + rng.index(3) {
+        mutate(rng, &mut mutant);
+    }
+    let func = rng.index(mutant.functions.len());
+    match rng.range(40) {
+        0 => mutant.functions[func].num_params = u16::MAX,
+        1 => mutant.entry = FuncId(mutant.functions.len() as u32),
+        2 => mutant.functions.clear(),
+        _ => {}
+    }
+    mutant
 }
 
 /// Applies one seeded hostile edit to `program`.
@@ -331,21 +374,9 @@ fn hostile_mutations_get_the_same_verdict_from_both_verifiers() {
     let mut rng = Prng::from_seed(0x7E51F1E5);
     let mut reasons = std::collections::BTreeSet::new();
     let (mut ok, mut rejected) = (0usize, 0usize);
-    for (what, program) in valid_programs() {
-        let size: usize = program.functions.iter().map(|f| f.code.len()).sum();
-        let mutants = if size > 10_000 { MUTANTS.1 } else { MUTANTS.0 };
-        for m in 0..mutants {
-            let mut mutant = program.clone();
-            for _ in 0..1 + rng.index(3) {
-                mutate(&mut rng, &mut mutant);
-            }
-            let func = rng.index(mutant.functions.len());
-            match rng.range(40) {
-                0 => mutant.functions[func].num_params = u16::MAX,
-                1 => mutant.entry = FuncId(mutant.functions.len() as u32),
-                2 => mutant.functions.clear(),
-                _ => {}
-            }
+    for (what, program, _) in valid_programs() {
+        for m in 0..mutants_of(&program, MUTANTS) {
+            let mutant = hostile_mutant(&mut rng, &program);
             match assert_agree(&mutant, &format!("{what} mutant {m}")) {
                 Ok(()) => ok += 1,
                 Err(VmError::Verify { reason, .. }) => {
@@ -374,5 +405,104 @@ fn hostile_mutations_get_the_same_verdict_from_both_verifiers() {
             reasons.iter().any(|r| r.contains(needle)),
             "no mutant was rejected for {needle:?}: {reasons:?}"
         );
+    }
+}
+
+/// Mutants per small and per large program that the engine agreement
+/// test runs: a few in debug builds (tier-1), many in release.
+const RUN_MUTANTS: (usize, usize) = if cfg!(debug_assertions) {
+    (6, 1)
+} else {
+    (600, 40)
+};
+
+/// The instruction budget of each agreement run.
+const RUN_BUDGET: u64 = 200_000;
+
+#[test]
+fn hostile_mutations_run_alike_on_both_engines() {
+    let mut rng = Prng::from_seed(0xE9_61DE5);
+    let configs = [
+        TraceConfig::branches_only(),
+        TraceConfig {
+            snapshot_limit: 2,
+            ..TraceConfig::full()
+        },
+    ];
+    let (mut unverified, mut bad_operands) = (0usize, 0usize);
+    for (what, program, input) in valid_programs() {
+        for m in 0..mutants_of(&program, RUN_MUTANTS) {
+            let mutant = hostile_mutant(&mut rng, &program);
+            unverified += usize::from(pathmark::vm::verify::verify(&mutant).is_err());
+            for config in configs {
+                let vm = Vm::new(&mutant)
+                    .with_input(input.clone())
+                    .with_budget(RUN_BUDGET)
+                    .with_trace(config);
+                let compiled = vm.run();
+                assert_eq!(
+                    compiled,
+                    vm.run_reference(),
+                    "{what} mutant {m} under {config:?}"
+                );
+                if let Err(VmError::BadOperand { .. } | VmError::BadEntry { .. }) = compiled {
+                    bad_operands += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        unverified > 0 && bad_operands > 0,
+        "{unverified} unverified mutants, {bad_operands} bad-operand runs"
+    );
+}
+
+#[test]
+fn recognition_reports_each_bad_operand_as_a_trace_error() {
+    let w = &pathmark::workloads::java::all()[0];
+    let key = WatermarkKey::new(1, w.secret_input.clone());
+    let recognizer = Recognizer::builder(key, JavaConfig::for_watermark_bits(128))
+        .build()
+        .unwrap();
+    let (host, entry) = (&w.program, w.program.entry);
+    let (locals, statics, functions) = (
+        host.function(entry).num_locals,
+        host.statics.len() as u32,
+        host.functions.len() as u32,
+    );
+    let first = |insn: Insn| {
+        let mut p = host.clone();
+        p.function_mut(entry).code[0] = insn;
+        (p, VmError::BadOperand { func: entry, pc: 0 })
+    };
+    let mut cases = vec![
+        first(Insn::Load(locals)),
+        first(Insn::Store(locals)),
+        first(Insn::Iinc(locals, 1)),
+        first(Insn::GetStatic(statics)),
+        first(Insn::PutStatic(statics)),
+        first(Insn::Call(functions)),
+    ];
+    let callee = (0..functions).find(|&f| FuncId(f) != entry).unwrap();
+    let (mut p, want) = first(Insn::Call(callee));
+    let f = p.function_mut(FuncId(callee));
+    f.num_params = f.num_locals + 1;
+    cases.push((p, want));
+    let mut p = host.clone();
+    p.entry = FuncId(functions);
+    cases.push((
+        p,
+        VmError::BadEntry {
+            func: FuncId(functions),
+        },
+    ));
+    let mut p = host.clone();
+    p.functions.clear();
+    cases.push((p, VmError::BadEntry { func: entry }));
+    for (p, want) in cases {
+        match recognizer.recognize(&p) {
+            Err(WatermarkError::TraceFailed(got)) => assert_eq!(got, want),
+            other => panic!("{want:?}: recognition returned {other:?}"),
+        }
     }
 }
