@@ -52,7 +52,6 @@
 
 pub mod asm;
 pub mod cfg;
-pub mod codec;
 pub mod cpu;
 pub mod encode;
 pub mod image;

@@ -22,6 +22,9 @@
 //!   streams outcome lines to a `.partial` sidecar and atomically
 //!   renames the finalized report into place — the storage half of
 //!   `--resume`.
+//! * [`log`] — [`log::LineLog`], the one durable-write primitive under
+//!   both the batch reports and the serve daemon's journal: whole-line
+//!   appends, atomic whole-file replacement and torn-tail recovery.
 //! * [`retry`] — bounded retries with exponential backoff and the
 //!   transient/permanent failure taxonomy that decides what is worth
 //!   re-running.
@@ -98,6 +101,7 @@ pub mod batch;
 pub mod cache;
 pub mod faults;
 pub mod json;
+pub mod log;
 pub mod manifest;
 pub mod pool;
 pub mod retry;

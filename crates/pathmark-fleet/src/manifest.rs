@@ -24,7 +24,6 @@
 //! be fed back in as the manifest of a recognition run.
 
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pathmark_core::java::JavaConfig;
@@ -34,6 +33,7 @@ use pathmark_math::bigint::BigUint;
 
 use crate::cache::fnv1a;
 use crate::json::{parse_object, write_object, Scalar};
+use crate::log::LineLog;
 
 /// One manifest line: a copy to fingerprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,147 +235,104 @@ pub fn parse_report(text: &str) -> Result<Vec<JobReport>, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let fields =
-            parse_object(line).map_err(|e| format!("line {}: {e}", number + 1))?;
-        let str_field = |name: &str| -> Result<String, String> {
-            fields
-                .get(name)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("line {}: missing string `{name}`", number + 1))
-        };
-        let num_field = |name: &str| -> Result<u64, String> {
-            fields
-                .get(name)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("line {}: missing integer `{name}`", number + 1))
-        };
-        // `attempts` is optional so reports written before the retry
-        // layer existed still parse (defaulting to one attempt).
-        let attempts = match fields.get("attempts") {
-            None => 1,
-            Some(v) => v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(
-                || format!("line {}: `attempts` must be a small integer", number + 1),
-            )?,
-        };
-        reports.push(JobReport {
-            job_id: str_field("job_id")?,
-            watermark_hex: str_field("watermark_hex")?,
-            seed: num_field("seed")?,
-            status: JobStatus::parse(&str_field("status")?),
-            attempts,
-            wall_ms: num_field("wall_ms")?,
-        });
+        reports.push(parse_report_line(line).map_err(|e| format!("line {}: {e}", number + 1))?);
     }
     Ok(reports)
 }
 
+/// Parses one [`JobReport::to_line`] line.
+fn parse_report_line(line: &str) -> Result<JobReport, String> {
+    let fields = parse_object(line).map_err(|e| e.to_string())?;
+    let str_field = |name: &str| -> Result<String, String> {
+        fields
+            .get(name)
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing string `{name}`"))
+    };
+    let num_field = |name: &str| -> Result<u64, String> {
+        fields
+            .get(name)
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("missing integer `{name}`"))
+    };
+    // `attempts` is optional so reports written before the retry
+    // layer existed still parse (defaulting to one attempt).
+    let attempts = match fields.get("attempts") {
+        None => 1,
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| "`attempts` must be a small integer".to_string())?,
+    };
+    Ok(JobReport {
+        job_id: str_field("job_id")?,
+        watermark_hex: str_field("watermark_hex")?,
+        seed: num_field("seed")?,
+        status: JobStatus::parse(&str_field("status")?),
+        attempts,
+        wall_ms: num_field("wall_ms")?,
+    })
+}
+
 /// Crash-safe, resumable report output.
 ///
-/// Outcome lines stream to a `<path>.partial` sidecar as jobs complete
-/// (unbuffered, one `write` per line, so a crash loses at most the line
-/// being written); [`ReportWriter::finalize`] then writes the full
-/// ordered report to a temp file and atomically renames it onto the
-/// target path. A reader therefore only ever sees either the previous
-/// complete report or the new complete report — never a torn one.
+/// Outcome lines stream to a `<path>.partial` sidecar, a [`LineLog`],
+/// as jobs complete (unbuffered, one `write` per line, so a crash loses
+/// at most the line being written). [`ReportWriter::finalize`] replaces
+/// the sidecar with the full ordered report (tmp file, fsync, rename)
+/// and then renames it onto the target path. A reader therefore only
+/// ever sees either the previous complete report or the new complete
+/// report — never a torn one.
 ///
 /// [`ReportWriter::resume`] reopens the sidecar after a crash and
-/// returns the outcomes already on disk (dropping a torn trailing
+/// returns the outcomes already on disk (cutting off a torn trailing
 /// line), so a resumed run skips exactly the jobs that finished.
-///
-/// Long-lived writers (the serve daemon) can cap the sidecar with
-/// [`ReportWriter::compact`]: settled outcomes are folded into a
-/// rename-atomic `<path>.compact` segment and the `.partial` file
-/// truncated, bounding its growth the same way the daemon's intents
-/// journal is bounded. `resume` reads the segment before the sidecar,
-/// so a compacted history survives a crash intact.
 #[derive(Debug)]
 pub struct ReportWriter {
-    file: std::fs::File,
-    partial: PathBuf,
+    log: LineLog,
     target: PathBuf,
-    /// Bytes appended to the partial sidecar since the last
-    /// compaction (or since create/resume).
-    partial_bytes: u64,
 }
 
 impl ReportWriter {
-    /// Starts a fresh report targeting `path`, truncating any leftover
-    /// partial sidecar from an earlier crashed run.
+    /// Starts a fresh report targeting `path`, replacing any leftover
+    /// partial sidecar from an earlier crashed run with an empty one.
     ///
     /// # Errors
     ///
     /// Whatever creating the sidecar reports.
     pub fn create(path: impl Into<PathBuf>) -> std::io::Result<ReportWriter> {
         let target = path.into();
-        let partial = partial_path(&target);
-        let _ = std::fs::remove_file(compact_path(&target));
-        let file = std::fs::File::create(&partial)?;
-        Ok(ReportWriter {
-            file,
-            partial,
-            target,
-            partial_bytes: 0,
-        })
+        let log = LineLog::create(partial_path(&target), Vec::<String>::new())?;
+        Ok(ReportWriter { log, target })
     }
 
     /// Resumes a crashed run targeting `path`: returns the writer plus
-    /// every outcome already recorded — the compacted segment (if one
-    /// exists) followed by the valid prefix of the partial sidecar (a
-    /// torn trailing line is discarded and truncated away), else the
-    /// finalized report if the previous run completed, else nothing.
-    /// The segment is folded back into the rewritten sidecar and
-    /// removed, so a resumed writer starts from one clean file.
+    /// every outcome already recorded — the valid prefix of the partial
+    /// sidecar (a torn trailing line is cut off), else the finalized
+    /// report if the previous run completed (carried into a new sidecar
+    /// so the resumed run streams on from it), else nothing.
     ///
     /// # Errors
     ///
-    /// I/O errors reading or rewriting the sidecar.
+    /// I/O errors reading, cutting or creating the sidecar, or a
+    /// malformed finalized report.
     pub fn resume(path: impl Into<PathBuf>) -> std::io::Result<(ReportWriter, Vec<JobReport>)> {
         let target = path.into();
         let partial = partial_path(&target);
-        let compact = compact_path(&target);
-        let recorded = if compact.exists() || partial.exists() {
-            // Segment first (it holds the older outcomes), then the
-            // live sidecar; a crash between the segment rename and the
-            // sidecar truncation can duplicate a job across the two, so
-            // dedup by job id, first occurrence wins.
-            let mut reports = if compact.exists() {
-                valid_prefix(&std::fs::read_to_string(&compact)?)
+        let (log, recorded) = if partial.exists() {
+            LineLog::resume(partial, |line| parse_report_line(line).ok())?
+        } else {
+            let recorded = if target.exists() {
+                parse_report(&std::fs::read_to_string(&target)?)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
             } else {
                 Vec::new()
             };
-            if partial.exists() {
-                reports.extend(valid_prefix(&std::fs::read_to_string(&partial)?));
-            }
-            let mut seen = std::collections::HashSet::new();
-            reports.retain(|r| seen.insert(r.job_id.clone()));
-            reports
-        } else if target.exists() {
-            valid_prefix(&std::fs::read_to_string(&target)?)
-        } else {
-            Vec::new()
+            let log = LineLog::create(partial, recorded.iter().map(JobReport::to_line))?;
+            (log, recorded)
         };
-        // Rewrite the sidecar from the parsed reports: this drops a torn
-        // trailing line, folds the compacted segment back in, and
-        // carries finalized outcomes forward, so the sidecar is always
-        // exactly "what is done so far".
-        let mut text = String::new();
-        for report in &recorded {
-            text.push_str(&report.to_line());
-            text.push('\n');
-        }
-        std::fs::write(&partial, &text)?;
-        let _ = std::fs::remove_file(&compact);
-        let file = std::fs::OpenOptions::new().append(true).open(&partial)?;
-        Ok((
-            ReportWriter {
-                file,
-                partial,
-                target,
-                partial_bytes: text.len() as u64,
-            },
-            recorded,
-        ))
+        Ok((ReportWriter { log, target }, recorded))
     }
 
     /// Appends one outcome line and pushes it to the OS immediately.
@@ -384,90 +341,24 @@ impl ReportWriter {
     ///
     /// Whatever the underlying write reports.
     pub fn append(&mut self, report: &JobReport) -> std::io::Result<()> {
-        let mut line = report.to_line();
-        line.push('\n');
-        // The file is unbuffered: one write_all per line IS the
-        // per-line flush.
-        self.file.write_all(line.as_bytes())?;
-        self.partial_bytes += line.len() as u64;
-        Ok(())
+        self.log.append(&report.to_line())
     }
 
-    /// Bytes currently in the partial sidecar.
-    pub fn partial_bytes(&self) -> u64 {
-        self.partial_bytes
-    }
-
-    /// Folds `settled` (every outcome recorded so far, in the caller's
-    /// canonical order) into the rename-atomic `<path>.compact` segment
-    /// and truncates the partial sidecar, resetting the byte counter.
-    /// A crash mid-compaction leaves the previous segment intact; a
-    /// crash between the rename and the truncation at worst duplicates
-    /// outcomes across segment and sidecar, which `resume` dedups.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the segment or truncating the sidecar.
-    pub fn compact(&mut self, settled: &[JobReport]) -> std::io::Result<()> {
-        let mut text = String::new();
-        for report in settled {
-            text.push_str(&report.to_line());
-            text.push('\n');
-        }
-        let compact = compact_path(&self.target);
-        let tmp = {
-            let mut name = compact.file_name().unwrap_or_default().to_os_string();
-            name.push(".tmp");
-            compact.with_file_name(name)
-        };
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &compact)?;
-        // Everything the sidecar held is durable in the segment:
-        // truncate and start appending fresh.
-        self.file = std::fs::File::create(&self.partial)?;
-        self.partial_bytes = 0;
-        Ok(())
-    }
-
-    /// Writes `ordered` (the complete report, in manifest order) to a
-    /// temp file, fsyncs it, atomically renames it onto the target
-    /// path, and removes the partial sidecar.
+    /// Replaces the sidecar with `ordered` (the complete report, in
+    /// manifest order) — tmp file, fsync, rename — and renames it onto
+    /// the target path.
     ///
     /// # Errors
     ///
     /// I/O errors writing, syncing, or renaming.
-    pub fn finalize(self, ordered: &[JobReport]) -> std::io::Result<()> {
-        let mut text = String::new();
-        for report in ordered {
-            text.push_str(&report.to_line());
-            text.push('\n');
-        }
-        let tmp = self.target.with_extension("jsonl.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.target)?;
-        // Losing the sidecar cleanup is harmless: the next create or
-        // resume rewrites it.
-        let _ = std::fs::remove_file(&self.partial);
-        let _ = std::fs::remove_file(compact_path(&self.target));
-        Ok(())
+    pub fn finalize(mut self, ordered: &[JobReport]) -> std::io::Result<()> {
+        self.log.replace(ordered.iter().map(JobReport::to_line))?;
+        self.log.rename(&self.target)
     }
 
     /// Where outcome lines stream before finalization.
     pub fn partial_path(&self) -> &Path {
-        &self.partial
-    }
-
-    /// Where the finalized report lands.
-    pub fn target_path(&self) -> &Path {
-        &self.target
+        self.log.path()
     }
 }
 
@@ -475,29 +366,6 @@ fn partial_path(target: &Path) -> PathBuf {
     let mut name = target.file_name().unwrap_or_default().to_os_string();
     name.push(".partial");
     target.with_file_name(name)
-}
-
-fn compact_path(target: &Path) -> PathBuf {
-    let mut name = target.file_name().unwrap_or_default().to_os_string();
-    name.push(".compact");
-    target.with_file_name(name)
-}
-
-/// Parses the longest valid prefix of a report file, dropping a torn
-/// trailing line (the crash case) and anything after it.
-fn valid_prefix(text: &str) -> Vec<JobReport> {
-    let mut reports = Vec::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match parse_report(trimmed) {
-            Ok(mut parsed) => reports.append(&mut parsed),
-            Err(_) => break,
-        }
-    }
-    reports
 }
 
 /// Formats a watermark value as lowercase hex (the manifest encoding).
@@ -709,75 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_bounds_the_sidecar_and_survives_resume() {
-        let dir = temp_dir("compact");
-        let target = dir.join("report.jsonl");
-        let reports: Vec<JobReport> = (0..4).map(sample_report).collect();
-
-        let mut writer = ReportWriter::create(&target).unwrap();
-        writer.append(&reports[0]).unwrap();
-        writer.append(&reports[1]).unwrap();
-        let before = writer.partial_bytes();
-        assert!(before > 0, "appends are counted");
-
-        // Fold the settled outcomes into the segment; the sidecar
-        // shrinks to zero and keeps accepting appends.
-        writer.compact(&reports[..2]).unwrap();
-        assert_eq!(writer.partial_bytes(), 0);
-        assert!(std::fs::read_to_string(writer.partial_path())
-            .unwrap()
-            .is_empty());
-        assert!(dir.join("report.jsonl.compact").exists());
-        writer.append(&reports[2]).unwrap();
-        assert!(writer.partial_bytes() < before);
-        drop(writer);
-
-        // A crashed (dropped) writer resumes with the segment's history
-        // folded back in front of the live sidecar, as one clean file.
-        let (mut writer, recorded) = ReportWriter::resume(&target).unwrap();
-        assert_eq!(recorded, reports[..3]);
-        assert!(
-            !dir.join("report.jsonl.compact").exists(),
-            "the segment is folded back into the sidecar on resume"
-        );
-        writer.append(&reports[3]).unwrap();
-
-        // Finalize cleans up segment and sidecar alike.
-        writer.finalize(&reports).unwrap();
-        assert!(!dir.join("report.jsonl.partial").exists());
-        assert!(!dir.join("report.jsonl.compact").exists());
-        let parsed = parse_report(&std::fs::read_to_string(&target).unwrap()).unwrap();
-        assert_eq!(parsed, reports);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_dedups_outcomes_duplicated_across_segment_and_sidecar() {
-        let dir = temp_dir("compact-dup");
-        let target = dir.join("report.jsonl");
-        let reports: Vec<JobReport> = (0..3).map(sample_report).collect();
-
-        // Simulate a crash between the segment rename and the sidecar
-        // truncation: both files hold copy-001.
-        let mut segment = String::new();
-        segment.push_str(&reports[0].to_line());
-        segment.push('\n');
-        segment.push_str(&reports[1].to_line());
-        segment.push('\n');
-        std::fs::write(dir.join("report.jsonl.compact"), &segment).unwrap();
-        let mut sidecar = String::new();
-        sidecar.push_str(&reports[1].to_line());
-        sidecar.push('\n');
-        sidecar.push_str(&reports[2].to_line());
-        sidecar.push('\n');
-        std::fs::write(dir.join("report.jsonl.partial"), &sidecar).unwrap();
-
-        let (_writer, recorded) = ReportWriter::resume(&target).unwrap();
-        assert_eq!(recorded, reports, "segment first, duplicates dropped");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn resume_after_finalize_reads_the_finalized_report() {
         let dir = temp_dir("resume-done");
         let target = dir.join("report.jsonl");
@@ -842,6 +641,61 @@ mod tests {
         writer.finalize(&reports).unwrap();
         let parsed = parse_report(&std::fs::read_to_string(&target).unwrap()).unwrap();
         assert_eq!(parsed, reports);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The batch of the crash test: eight jobs settle out of manifest
+    /// order, then the report is finalized. `done` collects the
+    /// outcomes whose append returned `Ok`.
+    fn batch(target: &Path, done: &mut Vec<JobReport>) -> std::io::Result<()> {
+        let reports: Vec<JobReport> = (0..8).map(sample_report).collect();
+        let mut writer = ReportWriter::create(target)?;
+        for n in [3, 0, 1, 7, 2, 5, 4, 6] {
+            writer.append(&reports[n])?;
+            done.push(reports[n].clone());
+        }
+        writer.finalize(&reports)
+    }
+
+    #[test]
+    fn crash_report_writer_resumes_to_the_uninterrupted_report() {
+        let dir = temp_dir("crash");
+        let target = dir.join("report.jsonl");
+        batch(&target, &mut Vec::new()).unwrap();
+        let uninterrupted = std::fs::read(&target).unwrap();
+        let kills = crate::log::crash::sweep(
+            &dir,
+            |done: &mut Vec<JobReport>| batch(&target, done),
+            || ReportWriter::resume(&target),
+            |done, (mut writer, recorded)| {
+                // Every outcome that returned Ok is recorded exactly
+                // once; nothing else is.
+                let mut ids: Vec<&str> = recorded.iter().map(|r| r.job_id.as_str()).collect();
+                ids.sort_unstable();
+                let mut want: Vec<&str> = done.iter().map(|r| r.job_id.as_str()).collect();
+                want.sort_unstable();
+                if ids.len() == 8 {
+                    // A kill inside finalize: every append had landed.
+                    want = ids.clone();
+                }
+                assert_eq!(ids, want);
+                // The resumed run settles the rest and finalizes the
+                // same report an uninterrupted run does.
+                let reports: Vec<JobReport> = (0..8).map(sample_report).collect();
+                for report in &reports {
+                    if !ids.contains(&report.job_id.as_str()) {
+                        writer.append(report).unwrap();
+                    }
+                }
+                writer.finalize(&reports).unwrap();
+                assert_eq!(std::fs::read(&target).unwrap(), uninterrupted);
+                assert!(!dir.join("report.jsonl.partial").exists());
+            },
+        );
+        assert!(
+            kills > 1000,
+            "every byte of the batch is a kill point: {kills}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

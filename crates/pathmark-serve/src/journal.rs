@@ -1,6 +1,7 @@
 //! The daemon's write-ahead journal: crash-safe exactly-once job
-//! execution built from two existing fleet primitives, with rotation so
-//! a long-running daemon's intents stay bounded.
+//! execution on the fleet's one durable-write primitive,
+//! [`LineLog`], with rotation so a long-running daemon's intents file
+//! stays bounded.
 //!
 //! * An **intents file** (`PREFIX.intents.jsonl`) records every
 //!   *accepted* request line — `open` lines and job lines, verbatim,
@@ -9,37 +10,33 @@
 //! * Two [`ReportWriter`]s (`PREFIX.embed.jsonl`,
 //!   `PREFIX.recognize.jsonl`) double as the outcome log: settled jobs
 //!   stream to the `.partial` sidecars exactly as the batch CLI streams
-//!   them, and graceful shutdown finalizes both reports with the same
-//!   fsync-then-atomic-rename discipline.
-//! * A **compacted segment** (`PREFIX.intents.compact.jsonl`) appears
-//!   once the live intents file crosses the rotation threshold
-//!   ([`Journal::rotate`]): `open` lines and still-pending job lines
-//!   are carried over verbatim, settled jobs are folded to small
-//!   `{"op":…,"tenant":…,"job_id":…,"compact":"settled"}` markers (their
-//!   full outcomes already live in the report sidecars), and the live
-//!   file is truncated. The segment is written to a temp file and
-//!   atomically renamed, so rotation can never lose a promise. Resume
-//!   reads the segments in order — compact first, then live — and
-//!   rebuilds the same acceptance order and tenant ownership an
-//!   unrotated journal would.
+//!   them, and graceful shutdown finalizes both reports.
+//! * **Rotation** ([`Journal::rotate`]) replaces the intents file
+//!   itself once more than the byte cap has been appended to it since
+//!   the last rotation: `open` lines and still-pending job lines are
+//!   carried over verbatim, and settled jobs are folded to small
+//!   `{"op":…,"tenant":…,"job_id":…,"compact":"settled"}` markers
+//!   (their full outcomes already live in the report sidecars). The
+//!   replacement is a tmp file, fsync and rename, so rotation can never
+//!   lose a promise, and resume reads one file in acceptance order.
 //!
 //! Resume intersects intents with outcomes: outcomes already on disk
 //! are *done* (duplicate submissions are answered from the journal),
 //! intents with no outcome are *pending* and re-run. A torn trailing
-//! line in the live intents file or either sidecar — the kill -9 case —
-//! is dropped and rewritten away (the compact segment is rename-atomic
-//! and never torn), so the journal a resumed daemon sees is always
-//! exactly "what was accepted" and "what finished". Client resubmission
-//! after a crash is at-least-once; journal dedup makes execution
-//! exactly-once.
+//! line — the kill -9 case — is cut off, so a resumed daemon sees
+//! exactly "what was accepted" and "what finished", under the
+//! [`LineLog`] contract (kill -9 at any byte, not power loss). Client
+//! resubmission after a crash is at-least-once; journal dedup makes
+//! execution exactly-once.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pathmark_fleet::json::{parse_object, write_object, Scalar};
+use pathmark_fleet::log::LineLog;
 use pathmark_fleet::manifest::{JobReport, JobStatus, ReportWriter};
 use pathmark_telemetry::{Counter, Telemetry};
 
@@ -48,8 +45,7 @@ use crate::protocol::Op;
 /// The write-ahead journal behind one daemon instance.
 #[derive(Debug)]
 pub struct Journal {
-    prefix: PathBuf,
-    intents: std::fs::File,
+    intents: LineLog,
     embed: ReportWriter,
     recognize: ReportWriter,
     /// Every job intent ever recorded, settled or pending, in acceptance
@@ -59,27 +55,22 @@ pub struct Journal {
     /// never answered across tenants.
     jobs: JobTable,
     /// Accepted `open` lines in first-seen order, deduplicated —
-    /// carried verbatim into every compacted segment (a resumed daemon
-    /// must rebuild tenants before re-running their jobs).
+    /// carried verbatim through every rotation (a resumed daemon must
+    /// rebuild tenants before re-running their jobs).
     opens: Vec<String>,
     open_seen: HashSet<String>,
-    /// Rotate once the live intents file exceeds this many bytes;
-    /// `None` never rotates (the pre-rotation behavior).
+    /// Rotate once more than this many bytes have been appended to the
+    /// intents file since the last rotation; `None` never rotates.
     max_bytes: Option<u64>,
-    /// Bytes appended to the live intents file since the last rotation.
-    live_bytes: u64,
+    /// The intents file's size right after the last rotation (0 when
+    /// created or resumed): what was appended since is the rest.
+    rotated_size: u64,
     rotations: u64,
-    /// Report-sidecar compactions performed (either op).
-    report_rotations: u64,
     telemetry: Telemetry,
 }
 
 fn intents_path(prefix: &Path) -> PathBuf {
     with_suffix(prefix, ".intents.jsonl")
-}
-
-fn compact_path(prefix: &Path) -> PathBuf {
-    with_suffix(prefix, ".intents.compact.jsonl")
 }
 
 fn report_path(prefix: &Path, op: Op) -> PathBuf {
@@ -90,6 +81,21 @@ fn with_suffix(prefix: &Path, suffix: &str) -> PathBuf {
     let mut name = prefix.file_name().unwrap_or_default().to_os_string();
     name.push(suffix);
     prefix.with_file_name(name)
+}
+
+/// The compacted segments older builds kept beside the intents file and
+/// the report sidecars. This build neither writes nor reads them.
+const OLD_SEGMENTS: [&str; 3] = [
+    ".intents.compact.jsonl",
+    ".embed.jsonl.compact",
+    ".recognize.jsonl.compact",
+];
+
+fn create_parent(prefix: &Path) -> std::io::Result<()> {
+    match prefix.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
 }
 
 /// The `"compact":"settled"` marker a rotation writes in place of a
@@ -103,40 +109,81 @@ fn settled_marker(op: Op, tenant: &str, job_id: &str) -> String {
     ])
 }
 
+/// One line of the intents file.
+enum Intent {
+    Open(String),
+    Job {
+        op: Op,
+        id: String,
+        tenant: String,
+        /// The verbatim request line; `None` for a settled marker.
+        line: Option<String>,
+    },
+    /// A JSON object that is neither: kept, ignored.
+    Other,
+}
+
+impl Intent {
+    /// `None` for a line that is not a JSON object (a torn tail).
+    fn parse(line: &str) -> Option<Intent> {
+        let fields = parse_object(line).ok()?;
+        let text = |name: &str| fields.get(name).and_then(|v| v.as_str());
+        let op = match text("op") {
+            Some("embed") => Op::Embed,
+            Some("recognize") => Op::Recognize,
+            Some("open") => return Some(Intent::Open(line.trim().to_string())),
+            _ => return Some(Intent::Other),
+        };
+        let Some(id) = text("job_id") else {
+            return Some(Intent::Other);
+        };
+        Some(Intent::Job {
+            op,
+            id: id.to_string(),
+            tenant: text("tenant").unwrap_or_default().to_string(),
+            line: (text("compact") != Some("settled")).then(|| line.trim().to_string()),
+        })
+    }
+}
+
 impl Journal {
     /// Starts a fresh journal at `PREFIX.{intents,embed,recognize}.jsonl`,
-    /// truncating leftovers from an earlier run (including a leftover
-    /// compacted segment).
+    /// replacing leftovers from an earlier run (and removing any
+    /// compacted segment an older build left).
     ///
     /// # Errors
     ///
     /// Whatever creating the files reports.
     pub fn create(prefix: &Path) -> std::io::Result<Journal> {
-        if let Some(parent) = prefix.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+        create_parent(prefix)?;
+        for suffix in OLD_SEGMENTS {
+            let _ = std::fs::remove_file(with_suffix(prefix, suffix));
         }
-        let _ = std::fs::remove_file(compact_path(prefix));
-        Ok(Journal {
-            prefix: prefix.to_path_buf(),
-            intents: std::fs::File::create(intents_path(prefix))?,
-            embed: ReportWriter::create(report_path(prefix, Op::Embed))?,
-            recognize: ReportWriter::create(report_path(prefix, Op::Recognize))?,
+        Ok(Journal::new(
+            LineLog::create(intents_path(prefix), Vec::<String>::new())?,
+            ReportWriter::create(report_path(prefix, Op::Embed))?,
+            ReportWriter::create(report_path(prefix, Op::Recognize))?,
+        ))
+    }
+
+    fn new(intents: LineLog, embed: ReportWriter, recognize: ReportWriter) -> Journal {
+        Journal {
+            rotated_size: 0,
+            intents,
+            embed,
+            recognize,
             jobs: JobTable::default(),
             opens: Vec::new(),
             open_seen: HashSet::new(),
             max_bytes: None,
-            live_bytes: 0,
             rotations: 0,
-            report_rotations: 0,
             telemetry: Telemetry::null(),
-        })
+        }
     }
 
-    /// Sets the rotation threshold: once the live intents file exceeds
-    /// `max_bytes`, settled intents are folded into the compacted
-    /// segment and the live file truncated.
+    /// Sets the rotation threshold: once more than `max_bytes` have
+    /// been appended since the last rotation, the intents file is
+    /// replaced by its folded form.
     #[must_use]
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Journal {
         self.max_bytes = max_bytes;
@@ -157,23 +204,34 @@ impl Journal {
     /// then the still-*pending* job lines in acceptance order. Settled
     /// jobs are not replayed — their outcomes are already in the dedup
     /// map, so resubmissions are answered from the journal. A torn
-    /// trailing line in the live intents file or either outcome sidecar
-    /// is discarded and truncated away; the compacted segment, being
-    /// rename-atomic, is read in full (before the live file, preserving
-    /// acceptance order across rotations).
+    /// trailing line in the intents file or either outcome sidecar is
+    /// cut off.
     ///
     /// # Errors
     ///
-    /// I/O errors reading or rewriting any journal file.
+    /// I/O errors reading or cutting any journal file, and a compacted
+    /// segment left by an older build (named in the error): this build
+    /// does not read those, so resuming without it would drop the jobs
+    /// it holds.
     pub fn resume(prefix: &Path) -> std::io::Result<(Journal, Vec<String>)> {
-        if let Some(parent) = prefix.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+        create_parent(prefix)?;
+        for suffix in OLD_SEGMENTS {
+            let old = with_suffix(prefix, suffix);
+            if old.exists() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: a compacted journal segment from an older build; resume and \
+                         shut down this journal with that build first",
+                        old.display()
+                    ),
+                ));
             }
         }
         let (embed, embed_done) = ReportWriter::resume(report_path(prefix, Op::Embed))?;
         let (recognize, recognize_done) =
             ReportWriter::resume(report_path(prefix, Op::Recognize))?;
+        let (intents, lines) = LineLog::resume(intents_path(prefix), Intent::parse)?;
         let mut completed = HashMap::new();
         for report in embed_done {
             completed.insert((Op::Embed, report.job_id.clone()), report);
@@ -182,82 +240,63 @@ impl Journal {
             completed.insert((Op::Recognize, report.job_id.clone()), report);
         }
 
-        let mut scan = IntentScan::default();
-        let compact = compact_path(prefix);
-        if compact.exists() {
-            // Rename-atomic: never torn, so a bad line is a real error —
-            // but stop-at-first-bad keeps resume forgiving either way.
-            scan.take_lines(&std::fs::read_to_string(&compact)?);
-        }
-        let path = intents_path(prefix);
-        let live_text = if path.exists() {
-            std::fs::read_to_string(&path)?
-        } else {
-            String::new()
-        };
-        // The valid prefix of the live file: stop at the first line
-        // that does not parse (a write torn by the crash). Everything
-        // after it was never acknowledged, so dropping it is safe.
-        let live_kept = scan.take_lines(&live_text);
-
-        // Rewrite the live intents file from its valid prefix, dropping
-        // the torn tail, then reopen for appending.
-        let mut clean = live_kept.join("\n");
-        if !clean.is_empty() {
-            clean.push('\n');
-        }
-        std::fs::write(&path, &clean)?;
-        let intents = std::fs::OpenOptions::new().append(true).open(&path)?;
-
         // Settled = accepted with an outcome; pending = accepted without
         // one. Pending lines must survive future rotations verbatim, and
         // they are what the server replays (after the opens that built
         // their tenants).
-        let mut jobs = JobTable::default();
-        let mut replay: Vec<String> = scan.opens.clone();
-        for (key, tenant) in scan.order {
-            let i = jobs.accept(key.0, &key.1, &tenant);
-            if let Some(report) = completed.remove(&key) {
-                jobs.settle(i, &report);
-            } else if let Some(line) = scan.job_lines.remove(&key) {
-                jobs.pend(i, &line);
-                replay.push(line);
+        let mut journal = Journal::new(intents, embed, recognize);
+        let mut pending = Vec::new();
+        for intent in lines {
+            let (op, id, tenant, line) = match intent {
+                Intent::Open(line) => {
+                    journal.note_open(line);
+                    continue;
+                }
+                Intent::Other => continue,
+                Intent::Job {
+                    op,
+                    id,
+                    tenant,
+                    line,
+                } => (op, id, tenant, line),
+            };
+            if journal.is_accepted(op, &id) {
+                continue;
+            }
+            let i = journal.jobs.accept(op, &id, &tenant);
+            if let Some(report) = completed.remove(&(op, id)) {
+                journal.jobs.settle(i, &report);
+            } else if let Some(line) = line {
+                journal.jobs.pend(i, &line);
+                pending.push(line);
             } else {
-                // A settled marker whose outcome line was torn away: the
-                // request line is gone, so the job cannot be re-run. It
-                // keeps its acceptance slot (finalize skips report-less
-                // jobs) but is surfaced, not silently dropped.
+                // A settled marker whose outcome line is gone (a kill
+                // cannot do this; a lost sidecar can): the request line
+                // is gone too, so the job cannot be re-run. It keeps
+                // its acceptance slot (finalize skips report-less jobs)
+                // but is surfaced, not silently dropped.
                 eprintln!(
                     "serve: journal: {} job `{}` was compacted as settled but has no \
                      recorded outcome; it cannot be replayed",
-                    key.0.as_str(),
-                    key.1
+                    op.as_str(),
+                    journal.jobs.jobs[i].id()
                 );
             }
         }
         // Outcomes with no intent behind them still answer dedup.
         for ((op, id), report) in completed {
-            let i = jobs.position_or_add(op, &id);
-            jobs.settle(i, &report);
+            let i = journal.jobs.position_or_add(op, &id);
+            journal.jobs.settle(i, &report);
         }
+        let mut replay = journal.opens.clone();
+        replay.extend(pending);
+        Ok((journal, replay))
+    }
 
-        Ok((
-            Journal {
-                prefix: prefix.to_path_buf(),
-                intents,
-                embed,
-                recognize,
-                jobs,
-                opens: scan.opens,
-                open_seen: scan.open_seen,
-                max_bytes: None,
-                live_bytes: clean.len() as u64,
-                rotations: 0,
-                report_rotations: 0,
-                telemetry: Telemetry::null(),
-            },
-            replay,
-        ))
+    fn note_open(&mut self, line: String) {
+        if self.open_seen.insert(line.clone()) {
+            self.opens.push(line);
+        }
     }
 
     /// Records an accepted `open` line so a resumed daemon can rebuild
@@ -267,12 +306,9 @@ impl Journal {
     ///
     /// Whatever the append reports.
     pub fn record_open_intent(&mut self, line: &str) -> std::io::Result<()> {
-        self.append_intent(line)?;
-        let line = line.trim();
-        if self.open_seen.insert(line.to_string()) {
-            self.opens.push(line.to_string());
-        }
-        self.maybe_rotate()
+        self.intents.append(line.trim())?;
+        self.note_open(line.trim().to_string());
+        self.rotate_if_oversized()
     }
 
     /// Records an accepted job line — the promise that this job will
@@ -288,20 +324,10 @@ impl Journal {
         job_id: &str,
         line: &str,
     ) -> std::io::Result<()> {
-        self.append_intent(line)?;
+        self.intents.append(line.trim())?;
         let i = self.jobs.accept(op, job_id, tenant);
         self.jobs.pend(i, line.trim());
-        self.maybe_rotate()
-    }
-
-    fn append_intent(&mut self, line: &str) -> std::io::Result<()> {
-        let mut owned = line.trim().to_string();
-        owned.push('\n');
-        // Unbuffered, like the report sidecars: one write per line, so
-        // a crash tears at most the line being written.
-        self.intents.write_all(owned.as_bytes())?;
-        self.live_bytes += owned.len() as u64;
-        Ok(())
+        self.rotate_if_oversized()
     }
 
     /// Whether a job intent was ever recorded (settled or still
@@ -335,15 +361,10 @@ impl Journal {
         self.rotations
     }
 
-    /// Report-sidecar compactions performed over this journal's
-    /// lifetime (both ops combined).
-    pub fn report_rotations(&self) -> u64 {
-        self.report_rotations
-    }
-
-    /// Bytes currently in the live intents file.
+    /// Bytes appended to the intents file since the last rotation (on
+    /// a resumed journal, everything it inherited).
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
+        self.intents.size() - self.rotated_size
     }
 
     /// Streams a settled job's outcome to the op's report sidecar and
@@ -360,112 +381,58 @@ impl Journal {
         }
         let i = self.jobs.position_or_add(op, &report.job_id);
         self.jobs.settle(i, report);
-        self.maybe_compact_reports(op)?;
-        self.maybe_rotate()
+        self.rotate_if_oversized()
     }
 
-    /// Rotates immediately if the live file is already over the cap.
-    /// The threshold is otherwise only re-checked on appends, so a
-    /// resumed daemon calls this once at startup: an inherited file
-    /// whose jobs all settled before the crash would never trigger an
-    /// append again.
+    /// Rotates if more than the cap has been appended since the last
+    /// rotation. Appends check this themselves; a resumed daemon calls
+    /// it once at startup, since an inherited file whose jobs all
+    /// settled before the crash would never trigger an append again.
     ///
     /// # Errors
     ///
     /// Whatever [`Journal::rotate`] reports.
-    pub fn compact_if_oversized(&mut self) -> std::io::Result<()> {
-        self.maybe_compact_reports(Op::Embed)?;
-        self.maybe_compact_reports(Op::Recognize)?;
-        self.maybe_rotate()
-    }
-
-    /// Folds one op's settled outcomes into its report's compacted
-    /// segment once the live `.partial` sidecar exceeds the same byte
-    /// cap that bounds the intents file. The segment is written in
-    /// acceptance order — the order `finalize` will use — so folding
-    /// changes nothing about the finalized report.
-    fn maybe_compact_reports(&mut self, op: Op) -> std::io::Result<()> {
-        let Some(max) = self.max_bytes else {
-            return Ok(());
-        };
-        let writer = match op {
-            Op::Embed => &mut self.embed,
-            Op::Recognize => &mut self.recognize,
-        };
-        if writer.partial_bytes() <= max {
-            return Ok(());
-        }
-        let settled: Vec<JobReport> = self
-            .jobs
-            .in_order()
-            .filter(|job| job.op == op)
-            .filter_map(Job::report)
-            .collect();
-        writer.compact(&settled)?;
-        self.report_rotations += 1;
-        self.telemetry.count(Counter::ReportRotation, 1);
-        Ok(())
-    }
-
-    fn maybe_rotate(&mut self) -> std::io::Result<()> {
+    pub fn rotate_if_oversized(&mut self) -> std::io::Result<()> {
         match self.max_bytes {
-            Some(max) if self.live_bytes > max => self.rotate(),
+            Some(max) if self.live_bytes() > max => self.rotate(),
             _ => Ok(()),
         }
     }
 
-    /// Folds the journal's full state into the compacted segment —
-    /// opens, then per accepted job (in acceptance order) either its
-    /// verbatim pending line or a small settled marker — and truncates
-    /// the live intents file. Written to a temp file, fsynced, and
-    /// renamed into place, so a crash mid-rotation leaves the previous
-    /// segment intact; only *after* the rename is the live file
-    /// truncated. The sidecar outcome line of every marked job landed
+    /// Replaces the intents file with the journal's full state — opens,
+    /// then per accepted job (in acceptance order) either its verbatim
+    /// pending line or a small settled marker — through
+    /// [`LineLog::replace`], so a crash mid-rotation leaves the old
+    /// file intact. The sidecar outcome line of every marked job landed
     /// before its marker is written (markers come only from
-    /// `record_outcome`'s completed map), so a marker always has a
-    /// durable outcome behind it.
+    /// `record_outcome`'s settled jobs), so a marker always has an
+    /// outcome behind it.
     ///
     /// # Errors
     ///
-    /// I/O errors writing the segment or truncating the live file.
+    /// I/O errors replacing the intents file.
     pub fn rotate(&mut self) -> std::io::Result<()> {
-        let mut segment = String::new();
-        for line in &self.opens {
-            segment.push_str(line);
-            segment.push('\n');
-        }
-        for job in self.jobs.in_order() {
-            match &job.state {
-                JobState::Pending => segment.push_str(job.rest()),
-                _ => segment.push_str(&settled_marker(job.op, self.jobs.tenant(job), job.id())),
-            }
-            segment.push('\n');
-        }
-        let target = compact_path(&self.prefix);
-        let tmp = with_suffix(&self.prefix, ".intents.compact.jsonl.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(segment.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &target)?;
-        // Everything the live file held is now in the segment: truncate
-        // and start appending fresh.
-        self.intents = std::fs::File::create(intents_path(&self.prefix))?;
-        self.live_bytes = 0;
+        let opens = self.opens.iter().map(|line| Cow::Borrowed(line.as_str()));
+        let jobs = self.jobs.in_order().map(|job| match &job.state {
+            JobState::Pending => Cow::Borrowed(job.rest()),
+            _ => Cow::Owned(settled_marker(job.op, self.jobs.tenant(job), job.id())),
+        });
+        self.intents.replace(opens.chain(jobs))?;
+        self.rotated_size = self.intents.size();
         self.rotations += 1;
         self.telemetry.count(Counter::JournalRotation, 1);
         Ok(())
     }
 
     /// Finalizes both reports (acceptance order, fsync, atomic rename)
-    /// and retires the intents files — live and compacted segment
-    /// alike; every promise they held is now durable in a finalized
-    /// report. Returns the (embed, recognize) report line counts.
+    /// and retires the intents file — every promise it held is now
+    /// durable in a finalized report. Returns the (embed, recognize)
+    /// report line counts.
     ///
     /// # Errors
     ///
-    /// I/O errors finalizing either report.
+    /// I/O errors finalizing either report or removing the intents
+    /// file.
     pub fn finalize(self) -> std::io::Result<(usize, usize)> {
         let mut embed_ordered = Vec::new();
         let mut recognize_ordered = Vec::new();
@@ -480,8 +447,7 @@ impl Journal {
         }
         self.embed.finalize(&embed_ordered)?;
         self.recognize.finalize(&recognize_ordered)?;
-        let _ = std::fs::remove_file(intents_path(&self.prefix));
-        let _ = std::fs::remove_file(compact_path(&self.prefix));
+        self.intents.remove()?;
         Ok((embed_ordered.len(), recognize_ordered.len()))
     }
 }
@@ -678,67 +644,6 @@ impl JobTable {
     }
 }
 
-/// Accumulates intent lines across journal segments (compact first,
-/// then live), rebuilding acceptance order, tenant ownership, opens,
-/// and the verbatim lines of jobs that were pending at rotation time.
-#[derive(Debug, Default)]
-struct IntentScan {
-    accepted: HashSet<(Op, String)>,
-    /// Accepted jobs in acceptance order, with their tenants.
-    order: Vec<((Op, String), String)>,
-    opens: Vec<String>,
-    open_seen: HashSet<String>,
-    /// Full request lines seen for a job key — absent for jobs folded
-    /// to settled markers.
-    job_lines: HashMap<(Op, String), String>,
-}
-
-impl IntentScan {
-    /// Scans one segment's text, stopping at the first unparseable line
-    /// (the torn tail of a live file). Returns the lines kept.
-    fn take_lines(&mut self, text: &str) -> Vec<String> {
-        let mut kept = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(fields) = parse_object(line) else {
-                break;
-            };
-            kept.push(line.to_string());
-            let op = match fields.get("op").and_then(|v| v.as_str()) {
-                Some("embed") => Some(Op::Embed),
-                Some("recognize") => Some(Op::Recognize),
-                Some("open") => {
-                    if self.open_seen.insert(line.to_string()) {
-                        self.opens.push(line.to_string());
-                    }
-                    None
-                }
-                _ => None,
-            };
-            let (Some(op), Some(job_id)) = (op, fields.get("job_id").and_then(|v| v.as_str()))
-            else {
-                continue;
-            };
-            let tenant = fields
-                .get("tenant")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default();
-            let key = (op, job_id.to_string());
-            if self.accepted.insert(key.clone()) {
-                self.order.push((key.clone(), tenant.to_string()));
-            }
-            let is_marker = fields.get("compact").and_then(|v| v.as_str()) == Some("settled");
-            if !is_marker {
-                self.job_lines.entry(key).or_insert_with(|| line.to_string());
-            }
-        }
-        kept
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,6 +674,13 @@ mod tests {
 
     fn cleanup(prefix: &Path) {
         let _ = std::fs::remove_dir_all(prefix.parent().unwrap());
+    }
+
+    /// Appends `text` to `path` as a kill -9 mid-write leaves it.
+    fn append_raw(path: &Path, text: &str) {
+        use std::io::Write;
+        let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(text.as_bytes()).unwrap();
     }
 
     #[test]
@@ -835,14 +747,14 @@ mod tests {
         }
         // Tear the trailing intent line and the outcome sidecar, as a
         // kill -9 mid-write would.
-        let intents = intents_path(&prefix);
-        let mut text = std::fs::read_to_string(&intents).unwrap();
-        text.push_str("{\"op\":\"embed\",\"job_id\":\"embed-9");
-        std::fs::write(&intents, &text).unwrap();
-        let sidecar = with_suffix(&prefix, ".embed.jsonl.partial");
-        let mut text = std::fs::read_to_string(&sidecar).unwrap();
-        text.push_str("{\"job_id\":\"embed-0");
-        std::fs::write(&sidecar, &text).unwrap();
+        append_raw(
+            &intents_path(&prefix),
+            "{\"op\":\"embed\",\"job_id\":\"embed-9",
+        );
+        append_raw(
+            &with_suffix(&prefix, ".embed.jsonl.partial"),
+            "{\"job_id\":\"embed-0",
+        );
 
         let (journal, replay) = Journal::resume(&prefix).unwrap();
         assert_eq!(
@@ -924,19 +836,24 @@ mod tests {
         assert!(journal.rotations() >= 1, "the byte cap forced rotations");
         assert!(
             journal.live_bytes() <= 64 + job_line(0).len() as u64 + 1,
-            "the live file never grows much past the cap: {}",
+            "appends since the last rotation never grow much past the cap: {}",
             journal.live_bytes()
         );
-        let segment = std::fs::read_to_string(compact_path(&prefix)).unwrap();
+        let intents = std::fs::read_to_string(intents_path(&prefix)).unwrap();
         assert!(
-            segment.contains("\"compact\":\"settled\""),
-            "settled jobs folded to markers: {segment}"
+            intents.contains("\"compact\":\"settled\""),
+            "settled jobs folded to markers: {intents}"
         );
-        assert!(segment.starts_with("{\"op\":\"open\""), "opens lead the segment");
+        assert!(intents.starts_with("{\"op\":\"open\""), "opens lead the file");
+        assert_eq!(
+            std::fs::read_dir(prefix.parent().unwrap()).unwrap().count(),
+            3,
+            "one intents file and two sidecars, nothing else"
+        );
 
-        // Resume reads segments in order: settled jobs are answered
-        // from the journal, pending jobs 4 and 5 replay with their full
-        // lines, acceptance order survives end to end.
+        // Resume reads the one file in acceptance order: settled jobs
+        // are answered from the journal, pending jobs 4 and 5 replay
+        // with their full lines, acceptance order survives end to end.
         drop(journal);
         let (mut journal, replay) = Journal::resume(&prefix).unwrap();
         assert!(replay[0].contains("\"open\""));
@@ -958,8 +875,7 @@ mod tests {
         .collect();
         let want: Vec<String> = (0..6).map(|n| format!("embed-{n:03}")).collect();
         assert_eq!(ids, want, "acceptance order survives rotation + resume");
-        assert!(!compact_path(&prefix).exists(), "finalize retires the segment");
-        assert!(!intents_path(&prefix).exists());
+        assert!(!intents_path(&prefix).exists(), "finalize retires the intents file");
         cleanup(&prefix);
     }
 
@@ -981,72 +897,15 @@ mod tests {
         }
         assert_eq!(sink.counter(Counter::JournalRotation), journal.rotations());
         assert!(journal.rotations() >= 2);
-        // Rotations trigger on intent appends, so the last accepted job
-        // is still a full pending line in the segment; an explicit
-        // rotation after it settles folds everything.
+        // An explicit rotation after the last job settles folds
+        // everything.
         journal.rotate().unwrap();
         assert_eq!(sink.counter(Counter::JournalRotation), journal.rotations());
-        // Each rotation rewrites the whole segment: with everything
+        // Each rotation replaces the whole file: with everything
         // settled it is opens + one marker per job, nothing else.
-        let segment = std::fs::read_to_string(compact_path(&prefix)).unwrap();
-        assert_eq!(segment.lines().count(), 4);
-        assert!(segment.lines().all(|l| l.contains("\"compact\":\"settled\"")));
-        cleanup(&prefix);
-    }
-
-    #[test]
-    fn report_sidecars_compact_under_the_byte_cap_and_survive_resume() {
-        use pathmark_telemetry::MemorySink;
-        use std::sync::Arc;
-        let prefix = temp_prefix("report-rotate");
-        let sink = Arc::new(MemorySink::new());
-        let mut journal = Journal::create(&prefix)
-            .unwrap()
-            .with_max_bytes(Some(96))
-            .with_telemetry(Telemetry::new(sink.clone()));
-        for n in 0..8 {
-            journal
-                .record_job_intent(Op::Embed, "t", &format!("embed-{n:03}"), &job_line(n))
-                .unwrap();
-            journal.record_outcome(Op::Embed, &report("embed", n)).unwrap();
-        }
-        assert!(
-            journal.report_rotations() >= 1,
-            "the byte cap forced report compactions"
-        );
-        assert_eq!(
-            sink.counter(Counter::ReportRotation),
-            journal.report_rotations()
-        );
-        // The live sidecar never grows much past the cap; the folded
-        // outcomes live in the rename-atomic `.compact` segment.
-        let partial = with_suffix(&prefix, ".embed.jsonl.partial");
-        let outcome_line = report("embed", 0).to_line().len() as u64 + 1;
-        assert!(
-            std::fs::metadata(&partial).unwrap().len() <= 96 + outcome_line,
-            "sidecar bounded near the cap"
-        );
-        assert!(with_suffix(&prefix, ".embed.jsonl.compact").exists());
-
-        // A crashed daemon resumes with every outcome intact and
-        // finalizes the full report in acceptance order.
-        drop(journal);
-        let (journal, _replay) = Journal::resume(&prefix).unwrap();
-        assert_eq!(journal.completed_count(), 8);
-        journal.finalize().unwrap();
-        let ids: Vec<String> = parse_report(
-            &std::fs::read_to_string(with_suffix(&prefix, ".embed.jsonl")).unwrap(),
-        )
-        .unwrap()
-        .into_iter()
-        .map(|r| r.job_id)
-        .collect();
-        let want: Vec<String> = (0..8).map(|n| format!("embed-{n:03}")).collect();
-        assert_eq!(ids, want, "acceptance order survives report compaction");
-        assert!(
-            !with_suffix(&prefix, ".embed.jsonl.compact").exists(),
-            "finalize retires the report segment"
-        );
+        let intents = std::fs::read_to_string(intents_path(&prefix)).unwrap();
+        assert_eq!(intents.lines().count(), 4);
+        assert!(intents.lines().all(|l| l.contains("\"compact\":\"settled\"")));
         cleanup(&prefix);
     }
 
@@ -1070,10 +929,7 @@ mod tests {
                 .record_job_intent(Op::Embed, "t", "embed-002", &job_line(2))
                 .unwrap();
         }
-        let live = intents_path(&prefix);
-        let mut text = std::fs::read_to_string(&live).unwrap();
-        text.push_str("{\"op\":\"embed\",\"job_id\":\"to");
-        std::fs::write(&live, &text).unwrap();
+        append_raw(&intents_path(&prefix), "{\"op\":\"embed\",\"job_id\":\"to");
 
         let (journal, replay) = Journal::resume(&prefix).unwrap();
         assert!(journal.completed(Op::Embed, "embed-000").is_some());
@@ -1102,18 +958,195 @@ mod tests {
         }
         // The successor resumes with a cap the inherited file already
         // exceeds. Every job settled, so no append will ever re-check
-        // the threshold — the startup compaction has to do it.
+        // the threshold — the startup rotation has to do it.
         let (journal, replay) = Journal::resume(&prefix).unwrap();
         assert_eq!(replay.len(), 1, "only the open replays");
         let mut journal = journal.with_max_bytes(Some(48));
-        journal.compact_if_oversized().unwrap();
+        journal.rotate_if_oversized().unwrap();
         assert_eq!(journal.rotations(), 1);
         assert_eq!(journal.live_bytes(), 0);
-        let segment = std::fs::read_to_string(compact_path(&prefix)).unwrap();
+        let intents = std::fs::read_to_string(intents_path(&prefix)).unwrap();
         assert_eq!(
-            segment.lines().filter(|l| l.contains("\"compact\":\"settled\"")).count(),
+            intents.lines().filter(|l| l.contains("\"compact\":\"settled\"")).count(),
             3,
-            "the settled jobs fold to markers: {segment}"
+            "the settled jobs fold to markers: {intents}"
+        );
+        cleanup(&prefix);
+    }
+
+    /// One call of the crash test's scripted daemon life.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Call {
+        Open,
+        Accept(Op, u32),
+        Settle(Op, u32),
+        Finalize,
+    }
+
+    /// Jobs are accepted in this order and settle out of it; every job
+    /// settles before the journal is finalized.
+    const SCRIPT: [Call; 10] = [
+        Call::Accept(Op::Embed, 0),
+        Call::Accept(Op::Recognize, 0),
+        Call::Accept(Op::Embed, 1),
+        Call::Settle(Op::Embed, 1),
+        Call::Settle(Op::Embed, 0),
+        Call::Accept(Op::Embed, 2),
+        Call::Settle(Op::Recognize, 0),
+        Call::Accept(Op::Recognize, 1),
+        Call::Settle(Op::Embed, 2),
+        Call::Settle(Op::Recognize, 1),
+    ];
+
+    const OPEN: &str = "{\"op\":\"open\",\"tenant\":\"t\"}";
+
+    fn id(op: Op, n: u32) -> String {
+        format!("{}-{n:03}", op.as_str())
+    }
+
+    fn intent_line(op: Op, n: u32) -> String {
+        format!(
+            "{{\"op\":\"{}\",\"tenant\":\"t\",\"job_id\":\"{}\"}}",
+            op.as_str(),
+            id(op, n)
+        )
+    }
+
+    /// The effects of the calls that returned `Ok`, and the call a kill
+    /// interrupted (whose effect may or may not have reached the disk).
+    #[derive(Debug, Default)]
+    struct Done {
+        opened: bool,
+        accepted: Vec<(Op, u32)>,
+        settled: Vec<(Op, u32)>,
+        call: Option<Call>,
+    }
+
+    /// The scripted daemon life, with a byte cap that rotates the
+    /// intents file several times.
+    fn daemon_life(prefix: &Path, done: &mut Done) -> std::io::Result<()> {
+        let mut journal = Journal::create(prefix)?.with_max_bytes(Some(100));
+        done.call = Some(Call::Open);
+        journal.record_open_intent(OPEN)?;
+        done.opened = true;
+        for call in SCRIPT {
+            done.call = Some(call);
+            match call {
+                Call::Accept(op, n) => {
+                    journal.record_job_intent(op, "t", &id(op, n), &intent_line(op, n))?;
+                    done.accepted.push((op, n));
+                }
+                Call::Settle(op, n) => {
+                    journal.record_outcome(op, &report(op.as_str(), n))?;
+                    done.settled.push((op, n));
+                }
+                Call::Open | Call::Finalize => unreachable!(),
+            }
+        }
+        done.call = Some(Call::Finalize);
+        journal.finalize().map(drop)
+    }
+
+    /// The journal killed before every call, at every byte it writes —
+    /// appended lines, rotations and the finalize — and then killed
+    /// again at every step of its own resume. Resume must return each
+    /// accepted job exactly once, settled or replayed with its request
+    /// line, in acceptance order, and the resumed daemon must finalize
+    /// the reports of an uninterrupted one. (A resume that rewrote the
+    /// intents file in place lost settled jobs when killed mid-rewrite;
+    /// the resume sweep is what catches that.)
+    #[test]
+    fn crash_journal_resumes_every_accepted_job_exactly_once() {
+        let prefix = temp_prefix("crash");
+        let dir = prefix.parent().unwrap().to_path_buf();
+        daemon_life(&prefix, &mut Done::default()).unwrap();
+        let reports = |prefix: &Path| {
+            [Op::Embed, Op::Recognize].map(|op| std::fs::read(report_path(prefix, op)).unwrap())
+        };
+        let uninterrupted = reports(&prefix);
+        let kills = pathmark_fleet::log::crash::sweep(
+            &dir,
+            |done: &mut Done| daemon_life(&prefix, done),
+            || Journal::resume(&prefix),
+            |done, (mut journal, replay)| {
+                let interrupted =
+                    |call: Call| done.call == Some(call) || done.call == Some(Call::Finalize);
+                // Accepted jobs on disk: every accept that returned Ok,
+                // plus the interrupted one if its line landed.
+                let on_disk: Vec<(Op, String, bool)> = journal
+                    .jobs
+                    .in_order()
+                    .map(|job| (job.op, job.id().to_string(), job.report().is_some()))
+                    .collect();
+                let ids: Vec<(Op, String)> = on_disk
+                    .iter()
+                    .map(|(op, id, _)| (*op, id.clone()))
+                    .collect();
+                let mut want: Vec<(Op, String)> = done
+                    .accepted
+                    .iter()
+                    .map(|&(op, n)| (op, id(op, n)))
+                    .collect();
+                if let Some(Call::Accept(op, n)) = done.call {
+                    if ids.len() > want.len() {
+                        want.push((op, id(op, n)));
+                    }
+                }
+                assert_eq!(ids, want, "{done:?}");
+                // Each is settled exactly when its outcome returned Ok
+                // (or was the interrupted call), else pending.
+                for (op, job_id, settled) in &on_disk {
+                    let n: u32 = job_id[job_id.len() - 3..].parse().unwrap();
+                    if done.settled.contains(&(*op, n)) {
+                        assert!(settled, "{job_id} settled before the kill: {done:?}");
+                    } else if !interrupted(Call::Settle(*op, n)) {
+                        assert!(!settled, "{job_id} never settled: {done:?}");
+                    }
+                }
+                // Replay: the open, then every pending job's own line,
+                // once, in acceptance order.
+                let opens = usize::from(replay.first().map(String::as_str) == Some(OPEN));
+                if done.opened {
+                    assert_eq!(opens, 1, "{done:?}");
+                } else if !interrupted(Call::Open) {
+                    assert_eq!(opens, 0, "{done:?}");
+                }
+                let pending: Vec<String> = on_disk
+                    .iter()
+                    .filter(|(_, _, settled)| !settled)
+                    .map(|(op, job_id, _)| {
+                        intent_line(*op, job_id[job_id.len() - 3..].parse().unwrap())
+                    })
+                    .collect();
+                assert_eq!(replay[opens..], pending, "{done:?}");
+
+                // The resumed daemon re-runs the pending jobs, takes the
+                // resubmissions, and finalizes what an uninterrupted
+                // daemon would.
+                for call in SCRIPT {
+                    if let Call::Accept(op, n) = call {
+                        if !journal.is_accepted(op, &id(op, n)) {
+                            journal
+                                .record_job_intent(op, "t", &id(op, n), &intent_line(op, n))
+                                .unwrap();
+                        }
+                    }
+                }
+                for call in SCRIPT {
+                    if let Call::Settle(op, n) = call {
+                        if journal.completed(op, &id(op, n)).is_none() {
+                            journal.record_outcome(op, &report(op.as_str(), n)).unwrap();
+                        }
+                    }
+                }
+                journal.finalize().unwrap();
+                assert_eq!(reports(&prefix), uninterrupted, "{done:?}");
+                assert!(!intents_path(&prefix).exists());
+            },
+        );
+        assert!(
+            kills > 1000,
+            "every byte of the life is a kill point: {kills}"
         );
         cleanup(&prefix);
     }

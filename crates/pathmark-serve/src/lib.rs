@@ -17,12 +17,13 @@
 //!   excess load with a distinct status instead of queueing unboundedly,
 //!   split fairly across active tenants so one flooding tenant cannot
 //!   monopolize the daemon;
-//! * a crash-safe write-ahead [`journal`] built on the fleet's
-//!   `ReportWriter`, so a daemon killed mid-stream resumes its in-flight
-//!   jobs on restart and finalizes reports bit-identical to an
-//!   uninterrupted run — with size-triggered rotation folding settled
-//!   intents into a compacted segment, so a daemon serving for days
-//!   keeps its journal bounded;
+//! * a crash-safe write-ahead [`journal`] built on the fleet's one
+//!   durable-write primitive, `LineLog`, so a daemon killed mid-stream
+//!   resumes its in-flight jobs on restart and finalizes reports
+//!   bit-identical to an uninterrupted run — with size-triggered
+//!   rotation replacing the intents file by one with settled intents
+//!   folded to markers, so a daemon serving for days keeps that file
+//!   bounded;
 //! * graceful shutdown that stops admissions, drains the queue,
 //!   finalizes the journal, and severs lingering connections.
 //!

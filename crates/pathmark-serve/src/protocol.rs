@@ -378,12 +378,9 @@ pub struct StatsSnapshot {
     pub tenants: u64,
     /// Connections currently being served.
     pub connections: u64,
-    /// Journal rotations performed (settled intents folded into the
-    /// compacted segment).
+    /// Journal rotations performed (the intents file replaced by its
+    /// folded form, settled intents as markers).
     pub journal_rotations: u64,
-    /// Report-sidecar compactions performed (settled outcomes folded
-    /// into the per-op `.compact` segments).
-    pub report_rotations: u64,
     /// Decode-cache lookups served without a cipher call, summed over
     /// every resident recognize session.
     pub decode_cache_hits: u64,
@@ -410,7 +407,6 @@ pub fn stats_line(s: &StatsSnapshot) -> String {
         ("tenants", Scalar::Num(s.tenants)),
         ("connections", Scalar::Num(s.connections)),
         ("journal_rotations", Scalar::Num(s.journal_rotations)),
-        ("report_rotations", Scalar::Num(s.report_rotations)),
         ("decode_cache_hits", Scalar::Num(s.decode_cache_hits)),
         ("decode_cache_misses", Scalar::Num(s.decode_cache_misses)),
         ("decode_cache_evictions", Scalar::Num(s.decode_cache_evictions)),

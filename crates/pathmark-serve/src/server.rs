@@ -98,7 +98,7 @@ fn respond(out: &SharedWriter, line: &str) {
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Journal path prefix; the daemon owns
-    /// `PREFIX.{intents,intents.compact,embed,recognize}.jsonl`.
+    /// `PREFIX.{intents,embed,recognize}.jsonl`.
     pub journal_prefix: PathBuf,
     /// Worker pool size.
     pub workers: usize,
@@ -108,8 +108,9 @@ pub struct ServeOptions {
     /// Concurrent-connection cap for the socket transports; excess
     /// connections wait in the kernel accept backlog.
     pub max_connections: usize,
-    /// Rotate the journal's live intents file once it exceeds this many
-    /// bytes (`None` never rotates).
+    /// Rotate the journal's intents file once more than this many bytes
+    /// have been appended to it since the last rotation (`None` never
+    /// rotates).
     pub journal_max_bytes: Option<u64>,
     /// Resume a crashed daemon's journal instead of truncating it.
     pub resume: bool,
@@ -199,12 +200,12 @@ impl Server {
         let mut journal = journal
             .with_max_bytes(options.journal_max_bytes)
             .with_telemetry(options.telemetry.clone());
-        // A resumed live file already past the cap compacts up front: a
-        // daemon whose inherited jobs all settled would otherwise never
+        // A resumed intents file already past the cap rotates up front:
+        // a daemon whose inherited jobs all settled would otherwise never
         // append, never re-check the threshold, and carry the oversized
         // file forever.
         journal
-            .compact_if_oversized()
+            .rotate_if_oversized()
             .map_err(|e| format!("{}: {e}", prefix.display()))?;
         let server = Server {
             registry: Registry::new(options.telemetry.clone()),
@@ -241,13 +242,7 @@ impl Server {
     /// the observable payoff of keeping sessions warm.
     pub fn stats(&self) -> StatsSnapshot {
         let cache = self.registry.decode_cache_stats();
-        let (journal_rotations, report_rotations) = {
-            let journal = lock(&self.journal);
-            (
-                journal.as_ref().map_or(0, Journal::rotations),
-                journal.as_ref().map_or(0, Journal::report_rotations),
-            )
-        };
+        let journal_rotations = lock(&self.journal).as_ref().map_or(0, Journal::rotations);
         StatsSnapshot {
             accepted: self.counters.accepted.load(Ordering::Relaxed),
             shed: self.counters.shed.load(Ordering::Relaxed),
@@ -259,7 +254,6 @@ impl Server {
             tenants: self.registry.count() as u64,
             connections: self.counters.connections.load(Ordering::Relaxed),
             journal_rotations,
-            report_rotations,
             decode_cache_hits: cache.hits,
             decode_cache_misses: cache.misses,
             decode_cache_evictions: cache.evictions,

@@ -189,18 +189,14 @@ pub enum Counter {
     SessionHit,
     /// Serve session-registry lookups that had to build a session.
     SessionMiss,
-    /// Serve journal rotations: settled intents folded into the
-    /// compacted segment and the live intents file truncated.
+    /// Serve journal rotations: the intents file replaced by one with
+    /// settled intents folded to markers.
     JournalRotation,
-    /// Serve report-sidecar rotations: settled outcome lines folded
-    /// into the compacted report segment and the `.partial` sidecar
-    /// truncated.
-    ReportRotation,
 }
 
 impl Counter {
     /// Every counter, in a fixed order (the [`MemorySink`] slot order).
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 21] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::PoolPanic,
@@ -222,7 +218,6 @@ impl Counter {
         Counter::SessionHit,
         Counter::SessionMiss,
         Counter::JournalRotation,
-        Counter::ReportRotation,
     ];
 
     /// The counter's wire name.
@@ -249,7 +244,6 @@ impl Counter {
             Counter::SessionHit => "session_hit",
             Counter::SessionMiss => "session_miss",
             Counter::JournalRotation => "journal_rotation",
-            Counter::ReportRotation => "report_rotation",
         }
     }
 

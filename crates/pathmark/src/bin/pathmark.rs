@@ -145,8 +145,10 @@ commands:
             answers on and only removes stale files. --max-inflight caps
             accepted-but-unsettled jobs (excess is shed, default 64),
             split fairly across active tenants; --journal-max-bytes
-            rotates the journal's live intents file past N bytes;
-            --resume replays a crashed daemon's journal before serving
+            rotates the journal's intents file (settled jobs folded to
+            markers) once N bytes were appended since the last
+            rotation; --resume replays a crashed daemon's journal
+            before serving
   connect   --socket PATH
             pipe stdin to a running daemon and its responses to stdout
             (the scripting client for `serve --socket`)

@@ -10,10 +10,8 @@ use std::fmt;
 
 use crate::insn::{BinOp, Cond, Insn};
 use crate::program::{FuncId, Function, Program};
-use crate::trace::{Site, SnapshotData, Trace, TraceEvent};
 
 const MAGIC: &[u8; 4] = b"PMVM";
-const TRACE_MAGIC: &[u8; 4] = b"PMTR";
 
 /// Error decoding a serialized program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,98 +99,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, DecodeError> {
         functions,
         statics,
         entry,
-    })
-}
-
-/// Serializes a trace to bytes (the hand-rolled replacement for the
-/// derive-based serialization the trace types used to carry).
-pub fn encode_trace(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(TRACE_MAGIC);
-    write_u32(&mut out, trace.events.len() as u32);
-    for event in &trace.events {
-        match event {
-            TraceEvent::EnterBlock { site } => {
-                out.push(0);
-                encode_site(site, &mut out);
-            }
-            TraceEvent::Branch { site, next } => {
-                out.push(1);
-                encode_site(site, &mut out);
-                write_u32(&mut out, *next as u32);
-            }
-            TraceEvent::Snapshot { site, data } => {
-                out.push(2);
-                encode_site(site, &mut out);
-                write_u32(&mut out, data.locals.len() as u32);
-                for &v in &data.locals {
-                    write_u64(&mut out, v as u64);
-                }
-                write_u32(&mut out, data.statics.len() as u32);
-                for &v in &data.statics {
-                    write_u64(&mut out, v as u64);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Deserializes a trace from bytes.
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or malformed tags.
-pub fn decode_trace(bytes: &[u8]) -> Result<Trace, DecodeError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let magic = r.take(4)?;
-    if magic != TRACE_MAGIC {
-        return Err(r.err("bad trace magic"));
-    }
-    let nevents = r.u32()? as usize;
-    let mut events = Vec::with_capacity(nevents.min(1 << 20));
-    for _ in 0..nevents {
-        let tag = r.u8()?;
-        events.push(match tag {
-            0 => TraceEvent::EnterBlock {
-                site: decode_site(&mut r)?,
-            },
-            1 => TraceEvent::Branch {
-                site: decode_site(&mut r)?,
-                next: r.u32()? as usize,
-            },
-            2 => {
-                let site = decode_site(&mut r)?;
-                let nlocals = r.u32()? as usize;
-                let mut locals = Vec::with_capacity(nlocals.min(1 << 16));
-                for _ in 0..nlocals {
-                    locals.push(r.u64()? as i64);
-                }
-                let nstatics = r.u32()? as usize;
-                let mut statics = Vec::with_capacity(nstatics.min(1 << 16));
-                for _ in 0..nstatics {
-                    statics.push(r.u64()? as i64);
-                }
-                TraceEvent::Snapshot {
-                    site,
-                    data: Box::new(SnapshotData { locals, statics }),
-                }
-            }
-            _ => return Err(r.err("bad trace event tag")),
-        });
-    }
-    Ok(Trace { events })
-}
-
-fn encode_site(site: &Site, out: &mut Vec<u8>) {
-    write_u32(out, site.func.0);
-    write_u32(out, site.pc as u32);
-}
-
-fn decode_site(r: &mut Reader<'_>) -> Result<Site, DecodeError> {
-    Ok(Site {
-        func: FuncId(r.u32()?),
-        pc: r.u32()? as usize,
     })
 }
 
@@ -538,54 +444,6 @@ mod tests {
         for cut in [0usize, 3, 10, bytes.len() - 1] {
             assert!(decode_program(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn trace_round_trips() {
-        let site = |f: u32, pc: usize| Site {
-            func: FuncId(f),
-            pc,
-        };
-        let trace = Trace {
-            events: vec![
-                TraceEvent::EnterBlock { site: site(0, 0) },
-                TraceEvent::Branch {
-                    site: site(0, 3),
-                    next: 9,
-                },
-                TraceEvent::Snapshot {
-                    site: site(1, 7),
-                    data: Box::new(SnapshotData {
-                        locals: vec![i64::MIN, -1, 0, i64::MAX],
-                        statics: vec![42],
-                    }),
-                },
-            ],
-        };
-        let bytes = encode_trace(&trace);
-        assert_eq!(decode_trace(&bytes).unwrap(), trace);
-        assert_eq!(
-            decode_trace(&encode_trace(&Trace::new())).unwrap(),
-            Trace::new()
-        );
-    }
-
-    #[test]
-    fn truncated_trace_rejected() {
-        let trace = Trace {
-            events: vec![TraceEvent::Branch {
-                site: Site {
-                    func: FuncId(0),
-                    pc: 1,
-                },
-                next: 2,
-            }],
-        };
-        let bytes = encode_trace(&trace);
-        for cut in [0usize, 3, 6, bytes.len() - 1] {
-            assert!(decode_trace(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        assert!(decode_trace(b"NOPE").is_err());
     }
 
     #[test]

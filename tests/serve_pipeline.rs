@@ -27,7 +27,7 @@ use pathmark::fleet::manifest::{parse_report, EmbedJobSpec, JobReport};
 use pathmark::fleet::pool::WorkerPool;
 use pathmark::serve::protocol::{EmbedRequest, OpenRequest, RecognizeRequest};
 use pathmark::serve::{shared_writer, ServeOptions, Server};
-use pathmark::telemetry::{Counter, MemorySink, Telemetry};
+use pathmark::telemetry::{Counter, MemorySink, Sink, Stage, Telemetry};
 use pathmark::vm::builder::{FunctionBuilder, ProgramBuilder};
 use pathmark::vm::codec::encode_program;
 use pathmark::vm::insn::Cond;
@@ -931,16 +931,72 @@ fn a_stalled_client_does_not_block_another_clients_ping() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A test-only sink around a [`MemorySink`]. While armed, it holds the
+/// worker that records a scan span until the dispatch thread has
+/// counted `decisions` admission decisions (accepted or shed), so a
+/// scanning job stays in flight across a whole dispatch burst.
+struct HoldScanUntilAdmitted {
+    inner: Arc<MemorySink>,
+    /// `Some((decided, decisions))` while armed.
+    armed: Mutex<Option<(u64, u64)>>,
+    changed: std::sync::Condvar,
+}
+
+impl HoldScanUntilAdmitted {
+    fn new(inner: Arc<MemorySink>) -> HoldScanUntilAdmitted {
+        HoldScanUntilAdmitted {
+            inner,
+            armed: Mutex::new(None),
+            changed: std::sync::Condvar::new(),
+        }
+    }
+
+    fn arm(&self, decisions: u64) {
+        *self.armed.lock().unwrap() = Some((0, decisions));
+    }
+
+    fn disarm(&self) {
+        *self.armed.lock().unwrap() = None;
+        self.changed.notify_all();
+    }
+}
+
+impl Sink for HoldScanUntilAdmitted {
+    fn record_span(&self, stage: Stage, nanos: u64) {
+        if stage == Stage::ScanRoll {
+            let mut armed = self.armed.lock().unwrap();
+            while matches!(*armed, Some((decided, decisions)) if decided < decisions) {
+                armed = self.changed.wait(armed).unwrap();
+            }
+        }
+        self.inner.record_span(stage, nanos);
+    }
+
+    fn record_count(&self, counter: Counter, delta: u64) {
+        if matches!(
+            counter,
+            Counter::JobAccepted | Counter::TenantShed | Counter::JobShed
+        ) {
+            if let Some((decided, _)) = self.armed.lock().unwrap().as_mut() {
+                *decided += delta;
+                self.changed.notify_all();
+            }
+        }
+        self.inner.record_count(counter, delta);
+    }
+}
+
 #[test]
 fn a_flooding_tenant_is_shed_on_fairness_while_its_peer_keeps_its_slot() {
     let dir = temp_dir("fairness");
     let host_path = write_host(&dir);
     let marked_dir = dir.join("marked").to_str().unwrap().to_string();
     let sink = Arc::new(MemorySink::new());
+    let hold = Arc::new(HoldScanUntilAdmitted::new(sink.clone()));
     let mut options = ServeOptions::new(dir.join("journal/serve"));
     options.workers = 1;
     options.max_inflight = 4;
-    options.telemetry = Telemetry::new(sink.clone());
+    options.telemetry = Telemetry::new(hold.clone());
     let server = Server::new(options).unwrap();
     let capture = Capture::default();
 
@@ -959,9 +1015,10 @@ fn a_flooding_tenant_is_shed_on_fairness_while_its_peer_keeps_its_slot() {
     // The flood: B submits one scan, then A bursts eight embeds. With
     // four slots and two active tenants, A's fair share is two — the
     // burst sheds with scope `tenant` while the gate still has global
-    // room, and B's slot is never at risk. (The single worker keeps
-    // B's scan in flight across the whole dispatch burst, so the
-    // outcome is deterministic.)
+    // room, and B's slot is never at risk. (The sink holds B's scan on
+    // the single worker until all nine admissions are decided, so B
+    // is still in flight across the whole burst and the outcome is
+    // deterministic.)
     let b_scan = EmbedJobSpec {
         job_id: "b-scan".to_string(),
         watermark_hex: None,
@@ -976,7 +1033,9 @@ fn a_flooding_tenant_is_shed_on_fairness_while_its_peer_keeps_its_slot() {
         &format!("{marked_dir}/warm-b.pmvm"),
     )];
     flood.extend(a_jobs.clone());
+    hold.arm(flood.len() as u64);
     let responses = drive(&server, &capture, &flood);
+    hold.disarm();
     let scopes: Vec<String> = responses
         .iter()
         .filter(|r| Capture::field(r, "status") == "shed")
@@ -1058,14 +1117,16 @@ fn a_crash_with_two_writers_and_a_rotated_journal_resumes_bit_identically() {
     let batch_reports: Vec<JobReport> = batch_embeds.iter().map(|o| o.report.clone()).collect();
 
     // The crash run: a byte-capped journal rotates under two concurrent
-    // writer connections; jobs 0-5 settle, then the daemon dies with
-    // job 6 accepted (intent journaled) but never run, plus a torn
-    // trailing line from the kill.
+    // writer connections (a one-byte cap rotates on every intent);
+    // jobs 0-5 settle, a second tenant's open rotates once more with
+    // all six settled, then the daemon dies with job 6 accepted
+    // (intent journaled) but never run, plus a torn trailing line from
+    // the kill.
     let marked_dir = dir.join("marked").to_str().unwrap().to_string();
     let prefix = dir.join("crash/serve");
     {
         let mut options = ServeOptions::new(&prefix);
-        options.journal_max_bytes = Some(256);
+        options.journal_max_bytes = Some(1);
         let server = Server::new(options).unwrap();
         let control = Capture::default();
         drive(&server, &control, &[open_line("acme")]);
@@ -1080,7 +1141,12 @@ fn a_crash_with_two_writers_and_a_rotated_journal_resumes_bit_identically() {
             scope.spawn(|| drive(&server, &capture_a, &lines_a));
             scope.spawn(|| drive(&server, &capture_b, &lines_b));
         });
-        let responses = drive(&server, &control, &["{\"op\":\"stats\"}".to_string()]);
+        let responses = drive(
+            &server,
+            &control,
+            &[open_line("audit"), "{\"op\":\"stats\"}".to_string()],
+        );
+        let responses = &responses[1..];
         assert!(
             Capture::field(&responses[0], "journal_rotations")
                 .parse::<u64>()
@@ -1090,19 +1156,20 @@ fn a_crash_with_two_writers_and_a_rotated_journal_resumes_bit_identically() {
         );
         // No shutdown, no finish: dropping the server is the crash.
     }
-    let compact = prefix.with_file_name("serve.intents.compact.jsonl");
-    assert!(compact.exists(), "rotation left a compacted segment behind");
     let intents = prefix.with_file_name("serve.intents.jsonl");
     let mut text = std::fs::read_to_string(&intents).unwrap();
+    assert!(
+        text.contains("\"compact\":\"settled\""),
+        "rotation folded settled intents into the intents file: {text}"
+    );
     text.push_str(&embed_line("acme", "copy-006", &host_path, &marked_dir));
     text.push('\n');
     text.push_str("{\"op\":\"embed\",\"tenant\":\"acme\",\"job_id\":\"to");
     std::fs::write(&intents, &text).unwrap();
 
-    // Restart with --resume: replay reads the compacted segment, then
-    // the live tail — the six settled jobs answer from the journal, the
-    // pending seventh runs before the first client line, and the torn
-    // tail is dropped.
+    // Restart with --resume: replay reads the rotated intents file —
+    // the six settled jobs answer from the journal, the pending seventh
+    // runs before the first client line, and the torn tail is cut.
     let mut options = ServeOptions::new(&prefix);
     options.resume = true;
     let server = Server::new(options).unwrap();
@@ -1125,10 +1192,7 @@ fn a_crash_with_two_writers_and_a_rotated_journal_resumes_bit_identically() {
     .unwrap();
     assert_eq!(resumed.len(), 7);
     assert_eq!(sorted_normalized(&resumed), sorted_normalized(&batch_reports));
-    assert!(
-        !intents.exists() && !compact.exists(),
-        "finalize retires every journal segment"
-    );
+    assert!(!intents.exists(), "finalize retires the intents file");
     for (job, outcome) in jobs.iter().zip(&batch_embeds) {
         let served = std::fs::read(format!("{marked_dir}/{}.pmvm", job.job_id)).unwrap();
         assert_eq!(
